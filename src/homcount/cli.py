@@ -5,6 +5,10 @@ Subcommands: count, enumerate, verify, export, series, asymptotic
 exact decimals (JSON exports carry them as strings, since they outgrow
 53-bit floats early). Exit codes: 0 success, 1 check or runtime failure,
 2 usage error. HOMCOUNT_CAP overrides the default brute-force cap of 7.
+
+Computed values are printed in full, however many digits they have; the
+interpreter's int/str digit limit still applies to numbers parsed from argv
+and from JSON input.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 from homcount import asymptotics, counting, enumeration, series, verify
 from homcount.correspondence import (
@@ -50,6 +56,16 @@ _EGF_BUILDERS = {
     SequenceId.J_SURJECTIVE: series.egf_f,
     SequenceId.FUBINI: series.egf_fubini,
 }
+
+
+def _digits(value: int | Fraction) -> str:
+    """str(value), also past sys.get_int_max_str_digits(): Decimal(int) is exact
+    and converts without going through str."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return _digits(value.numerator)
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    return str(Decimal(value))
 
 
 def _sequence(value: str) -> SequenceId:
@@ -150,7 +166,7 @@ def cmd_count(args) -> int:
         print(f"sequence {seq.value} starts at k={SEQUENCE_START[seq]}", file=sys.stderr)
         return USAGE_ERROR
     value = _count_value(seq, args.k, method, args.cap)
-    print(f"{seq.value}({args.k}) = {value} [{method}]")
+    print(f"{seq.value}({args.k}) = {_digits(value)} [{method}]")
     if seq == SequenceId.I and method == "closed-form":
         print("note: excludes the empty ordering; recurrence value is +1")
     return 0
@@ -179,12 +195,12 @@ def cmd_verify(args) -> int:
 
 def _export_lines(seq: SequenceId, k_max: int, fmt: str) -> str:
     start = SEQUENCE_START[seq]
-    terms = [(k, counting.sequence_value(seq, k)) for k in range(start, k_max + 1)]
+    terms = [(k, _digits(counting.sequence_value(seq, k))) for k in range(start, k_max + 1)]
     if fmt == "b-file":
         return "".join(f"{k} {v}\n" for k, v in terms)
     if fmt == "csv":
         return "k,value\n" + "".join(f"{k},{v}\n" for k, v in terms)
-    return json.dumps({"sequence": seq.value, "terms": [[k, str(v)] for k, v in terms]}) + "\n"
+    return json.dumps({"sequence": seq.value, "terms": [[k, v] for k, v in terms]}) + "\n"
 
 
 def cmd_export(args) -> int:
@@ -212,7 +228,7 @@ def cmd_series(args) -> int:
     builders = {"H": series.egf_H, "f": series.egf_f, "fubini": series.egf_fubini}
     s = builders[args.egf](args.terms)
     rows = [
-        (str(k), str(s.coeffs[k]), str(series.egf_counts(s, k)))
+        (str(k), _digits(s.coeffs[k]), _digits(series.egf_counts(s, k)))
         for k in range(args.terms + 1)
     ]
     widths = [max(len(r[i]) for r in rows + [("k", "coefficient", "count")]) for i in range(3)]

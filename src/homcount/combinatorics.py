@@ -6,8 +6,11 @@ which is always stored in lowest terms with a positive denominator. Nothing
 here ever rounds.
 
 binomial and stirling2 are memoized in triangular tables grown on demand:
-the counting formulas re-query small cells heavily. Rows are built completely
-before being published, so concurrent readers always observe correct values.
+counting.closed_form_I and verify's Pascal and Stirling property suites
+re-query small cells heavily (the recurrence tables in counting use none of
+them, so they stay independent of the closed form that checks them). Rows are
+built completely before being published, so concurrent readers always observe
+correct values.
 """
 
 from __future__ import annotations

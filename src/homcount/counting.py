@@ -16,13 +16,34 @@ closed_form_I(k) + 1 == count_I(k). Both values are exposed on purpose; the
 recurrence value is the one matching the reference term lists.
 
 Sequence indexing conventions (also used by the CLI exports): I is listed from
-k=1, everything else from k=0. All recurrences are memoized in grown tables.
+k=1, everything else from k=0.
+
+All recurrences are memoized in tables grown on demand. Each recurrence is a
+binomial convolution s(n) = sum_{i<n} C(n, i) t(i) of an earlier term sequence
+t, and the tables obtain it by the Euler-Seidel scheme (D. Dumont, "Matrices
+d'Euler-Seidel", Sem. Lothar. Combin. B05c, 1981): beside each table lives the
+newest anti-diagonal of the transform triangle of t, O(n) ints, and one row
+costs 2n additions and no binomial coefficient. With T = K1 + K2:
+
+    K1(n) = s_T(n)    K2(n) = n K1(n-1)    J(n) = n J(n-1) + s_J(n)    F(n) = s_F(n)
+
+K2 is derived on read. K1's sum counts exactly the constrained models on a
+proper subset of the colors, and J's sum the unconstrained ones, so for k >= 1
+
+    count_I(k) = s_T(k) + T(k) = 2 K1(k) + K2(k)
+    count_L(k) = s_J(k) + J(k) = 2 J(k) - k J(k-1)
+
+are O(1) reads (both are 1 at k = 0). closed_form_I alone uses the memoized
+tables of combinatorics, so the recurrences and the formula that checks them
+share no table.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
+from collections.abc import Callable
+from itertools import accumulate
 from math import ceil
 
 from homcount.combinatorics import binomial, factorial, stirling2
@@ -39,9 +60,13 @@ class SequenceId(str, enum.Enum):
 
 
 _k1_table: list[int] = [1]
-_k2_table: list[int] = [0]
 _j_table: list[int] = [1]
 _fubini_table: list[int] = [1]
+# newest anti-diagonal of each table's transform triangle (see _grow); the K
+# one belongs to T = K1 + K2, the others to the table's own sequence
+_k_diagonal: list[int] = [1]
+_j_diagonal: list[int] = [1]
+_fubini_diagonal: list[int] = [1]
 # growth derives each entry from earlier ones; racing growers would duplicate rows
 _k_lock = threading.Lock()
 _j_lock = threading.Lock()
@@ -53,30 +78,57 @@ def _require_nonnegative(k: int) -> None:
         raise ValueError(f"sequence index must be nonnegative, got {k}")
 
 
-def _extend_k_tables(k: int) -> None:
-    if len(_k1_table) > k:
+def _grow(
+    table: list[int],
+    diagonal: list[int],
+    lock: threading.Lock,
+    k: int,
+    entry: Callable[[int, int], tuple[int, int]],
+) -> None:
+    """Extend table through index k, 2n additions for entry n.
+
+    Before entry n, diagonal[j] = sum_i C(j, i) t(n-1-i) for j < n, so its sum
+    is s(n) = sum_{i<n} C(n, i) t(i). entry(n, s(n)) returns the table entry
+    and t(n); by Pascal's rule the running sums of [t(n), *diagonal] are then
+    the diagonal for entry n + 1.
+    """
+    if len(table) > k:
         return
-    with _k_lock:
-        while len(_k1_table) <= k:
-            n = len(_k1_table)
-            _k1_table.append(
-                sum(binomial(n, i) * (_k1_table[i] + _k2_table[i]) for i in range(n))
-            )
-            _k2_table.append(n * _k1_table[n - 1])
+    with lock:
+        while len(table) <= k:
+            n = len(table)
+            value, t = entry(n, sum(diagonal))
+            diagonal[:] = list(accumulate(diagonal, initial=t))
+            table.append(value)
+
+
+def _k_entry(n: int, s: int) -> tuple[int, int]:
+    # K1(n) = s_T(n), and T(n) = K1(n) + K2(n) with K2(n) = n K1(n-1)
+    return s, s + n * _k1_table[n - 1]
+
+
+def _j_entry(n: int, s: int) -> tuple[int, int]:
+    # J(n) = 2n J(n-1) + sum_{i>=2} C(n, i) J(n-i) = n J(n-1) + s_J(n)
+    value = n * _j_table[n - 1] + s
+    return value, value
+
+
+def _fubini_entry(n: int, s: int) -> tuple[int, int]:
+    # F(n) = sum_{i>=1} C(n, i) F(n-i) = s_F(n)
+    return s, s
 
 
 def k1(k: int) -> int:
     """Surjective constrained models whose first point is an S-point (1 at k=0)."""
     _require_nonnegative(k)
-    _extend_k_tables(k)
+    _grow(_k1_table, _k_diagonal, _k_lock, k, _k_entry)
     return _k1_table[k]
 
 
 def k2(k: int) -> int:
     """Surjective constrained models whose first point is an R-point."""
     _require_nonnegative(k)
-    _extend_k_tables(k)
-    return _k2_table[k]
+    return k * k1(k - 1) if k else 0
 
 
 def count_I(k: int) -> int:
@@ -85,8 +137,7 @@ def count_I(k: int) -> int:
     The reference term list for this sequence starts at k=1.
     """
     _require_nonnegative(k)
-    _extend_k_tables(k)
-    return sum((_k1_table[i] + _k2_table[i]) * binomial(k, i) for i in range(k + 1))
+    return 2 * k1(k) + k2(k) if k else 1
 
 
 def closed_form_I(k: int) -> int:
@@ -114,46 +165,28 @@ def closed_form_I(k: int) -> int:
     return total
 
 
-def _extend_j_table(k: int) -> None:
-    if len(_j_table) > k:
-        return
-    with _j_lock:
-        while len(_j_table) <= k:
-            n = len(_j_table)
-            _j_table.append(
-                2 * n * _j_table[n - 1]
-                + sum(binomial(n, i) * _j_table[n - i] for i in range(2, n + 1))
-            )
-
-
 def j_surjective(k: int) -> int:
     """Unconstrained models using all k colors."""
     _require_nonnegative(k)
-    _extend_j_table(k)
+    _grow(_j_table, _j_diagonal, _j_lock, k, _j_entry)
     return _j_table[k]
 
 
 def count_L(k: int) -> int:
     """Unconstrained models over colors 1..k: the homogeneous k-colored orderings.
 
-    The sum includes the i=0 term (the empty ordering); starting it at i=1
-    would contradict every reference term from L(1) on.
+    The sum over i <= k of C(k, i) J(i) includes the i=0 term (the empty
+    ordering); starting it at i=1 would contradict every reference term from
+    L(1) on.
     """
     _require_nonnegative(k)
-    _extend_j_table(k)
-    return sum(_j_table[i] * binomial(k, i) for i in range(k + 1))
+    return 2 * j_surjective(k) - k * j_surjective(k - 1) if k else 1
 
 
 def fubini(k: int) -> int:
     """Ordered set partitions of a k-set."""
     _require_nonnegative(k)
-    if len(_fubini_table) <= k:
-        with _fubini_lock:
-            while len(_fubini_table) <= k:
-                n = len(_fubini_table)
-                _fubini_table.append(
-                    sum(binomial(n, i) * _fubini_table[n - i] for i in range(1, n + 1))
-                )
+    _grow(_fubini_table, _fubini_diagonal, _fubini_lock, k, _fubini_entry)
     return _fubini_table[k]
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, exit codes, file formats, failure paths."""
 
 import json
+import sys
 
 import pytest
 
@@ -18,6 +19,26 @@ def test_count_recurrence(capsys):
     code, out, _ = run(capsys, "count", "--sequence", "I", "--k", "5", "--method", "recurrence")
     assert code == 0
     assert "I(5) = 5487 [recurrence]" in out
+
+
+def test_count_prints_values_past_the_int_digit_limit(capsys):
+    code, out, _ = run(capsys, "count", "--sequence", "I", "--k", "1500")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(counting.count_I(1500))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > limit
+    assert out == f"I(1500) = {want} [recurrence]\n"
+
+
+def test_argv_numbers_keep_the_int_digit_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--sequence", "I", "--k", "1" * (sys.get_int_max_str_digits() + 1)])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_count_default_method(capsys):

@@ -1,7 +1,16 @@
 """Recurrences and closed forms against the reference term lists and the stream oracle."""
 
+import os
+import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from math import comb
+from pathlib import Path
+
 import pytest
 
+from homcount import counting
 from homcount.combinatorics import binomial
 from homcount.counting import (
     SequenceId,
@@ -103,9 +112,84 @@ def test_fubini_equals_brute_force():
         assert fubini(k) == count_ordered_set_partitions_by_enumeration(k)
 
 
+def test_binomial_transform_of_k():
+    for k in range(21):
+        assert count_I(k) == sum(binomial(k, i) * (k1(i) + k2(i)) for i in range(k + 1))
+
+
 def test_binomial_transform_of_j():
     for k in range(21):
         assert count_L(k) == sum(binomial(k, i) * j_surjective(i) for i in range(k + 1))
+
+
+def naive_tables(n_max):
+    """The recurrences as plain binomial sums, sharing nothing with counting."""
+    k1_, k2_, j_, f_ = [1], [0], [1], [1]
+    for n in range(1, n_max + 1):
+        k1_.append(sum(comb(n, i) * (k1_[i] + k2_[i]) for i in range(n)))
+        k2_.append(n * k1_[n - 1])
+        j_.append(2 * n * j_[n - 1] + sum(comb(n, i) * j_[n - i] for i in range(2, n + 1)))
+        f_.append(sum(comb(n, i) * f_[n - i] for i in range(1, n + 1)))
+    return {
+        "k1": k1_,
+        "k2": k2_,
+        "j_surjective": j_,
+        "fubini": f_,
+        "count_I": [sum(comb(n, i) * (k1_[i] + k2_[i]) for i in range(n + 1)) for n in range(n_max + 1)],
+        "count_L": [sum(comb(n, i) * j_[i] for i in range(n + 1)) for n in range(n_max + 1)],
+    }
+
+
+@pytest.fixture(scope="module")
+def naive():
+    return naive_tables(250)
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty recurrence tables for one test; the shared ones come back afterwards."""
+    for name in ("_k1_table", "_j_table", "_fubini_table", "_k_diagonal", "_j_diagonal", "_fubini_diagonal"):
+        monkeypatch.setattr(counting, name, [1])
+
+
+def test_resumed_growth_matches_naive_sums(fresh_tables, naive):
+    for fn, k in [(k1, 50), (j_surjective, 30), (k1, 120), (fubini, 200), (count_L, 90), (count_I, 250),
+                  (j_surjective, 250), (fubini, 250)]:
+        assert fn(k) == naive[fn.__name__][k]
+    for name in naive:
+        fn = getattr(counting, name)
+        assert [fn(k) for k in range(251)] == naive[name], name
+
+
+def test_concurrent_growth_observes_correct_values(fresh_tables, naive):
+    rng = random.Random(11)
+    names = sorted(naive)
+    cells = [(rng.choice(names), rng.randint(0, 250)) for _ in range(300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave growers
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda cell: getattr(counting, cell[0])(cell[1]), cells, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (name, k), got in zip(cells, results):
+        assert got == naive[name][k], (name, k)
+
+
+def test_table_growth_memory_stays_linear():
+    # O(k) ints of extra state per table: about 1.1 MB, where summing over a
+    # memoized Pascal triangle peaked at about 14 MB
+    code = (
+        "import tracemalloc\n"
+        "from homcount.counting import count_I, count_L, fubini\n"
+        "tracemalloc.start()\n"
+        "count_I(600); count_L(300); fubini(300)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(counting.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 4_000_000
 
 
 def test_sequence_dispatch():
