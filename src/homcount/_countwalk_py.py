@@ -1,75 +1,11 @@
-"""Pure-Python brute-force counting walks (fallback for the compiled kernel).
+"""Old import path of the brute-force walk; the walk itself is homcount.kernel.
 
-Each function walks the full tree of models over a color bitmask, one recursion
-node per model, and counts leaves. Nothing is memoized on purpose: these counts
-are the independent oracle for the recurrence formulas, so every model must
-actually be visited.
+This module exists only because the benchmark imports
+`homcount._countwalk_py.count_models` (perfbench/worker.py, to time the walk,
+and perfbench/tests/test_perfbench.py, to check its digests). New code imports
+homcount.kernel.
 """
 
-from __future__ import annotations
+from homcount.kernel import count_models
 
-_MAX_K = 16  # compiled twin counts in 64 bits; walks beyond ~k=10 are infeasible anyway
-
-
-def _check_k(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"color count must be nonnegative, got {k}")
-    if k > _MAX_K:
-        raise ValueError(f"brute-force walk not supported beyond k={_MAX_K}, got {k}")
-
-
-def count_models(k: int, constrained: bool) -> int:
-    """Number of models over colors 1..k (every prefix choice is one model)."""
-    _check_k(k)
-
-    def walk(avail: int, last_r: bool) -> int:
-        total = 1
-        if not (constrained and last_r):
-            m = avail
-            while m:
-                low = m & -m
-                total += walk(avail ^ low, True)
-                m ^= low
-        sub = avail
-        while sub:
-            total += walk(avail ^ sub, False)
-            sub = (sub - 1) & avail
-        return total
-
-    return walk((1 << k) - 1, False)
-
-
-def count_surjective(k: int, constrained: bool) -> int:
-    """Models using all k colors: same walk, counting only exhausted-color leaves."""
-    _check_k(k)
-
-    def walk(avail: int, last_r: bool) -> int:
-        total = 0 if avail else 1
-        if not (constrained and last_r):
-            m = avail
-            while m:
-                low = m & -m
-                total += walk(avail ^ low, True)
-                m ^= low
-        sub = avail
-        while sub:
-            total += walk(avail ^ sub, False)
-            sub = (sub - 1) & avail
-        return total
-
-    return walk((1 << k) - 1, False)
-
-
-def count_ordered_set_partitions(k: int) -> int:
-    """Sequences of disjoint nonempty color sets covering 1..k (S-points only)."""
-    _check_k(k)
-
-    def walk(avail: int) -> int:
-        total = 0 if avail else 1
-        sub = avail
-        while sub:
-            total += walk(avail ^ sub)
-            sub = (sub - 1) & avail
-        return total
-
-    return walk((1 << k) - 1)
+__all__ = ["count_models"]

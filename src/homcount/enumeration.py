@@ -3,12 +3,12 @@
 The stream is the ground truth that every counting formula is checked against.
 Models are produced shortest first, then lexicographically by point encoding
 (R-points before S-points, R by color, S by sorted color list), exactly the
-order of model.canonical_compare. Generation recurses over the first point,
-so the split between S-first and R-first surjective models falls out for free.
+order of model.canonical_compare. Generation recurses over the first point.
 
 Counting never materializes models: it goes through homcount.kernel, which
-walks the same choice tree (compiled when available). Streams are lazy and
-keep O(k) state.
+walks the same choice tree, one node per model, and splits the surjective
+models into S-first and R-first at its root. Streams are lazy and keep O(k)
+state.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ def brute_force_cap(override: int | None = None) -> int:
     return int(env) if env else DEFAULT_CAP
 
 
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"color count must be nonnegative, got {k}")
+
+
 def _check_cap(k: int, cap: int | None) -> None:
     limit = brute_force_cap(cap)
     if k > limit:
@@ -59,8 +64,7 @@ def _nonempty_subsets(colors: tuple[int, ...], max_size: int) -> Iterator[tuple[
 
 def enumerate_models(k: int, constrained: bool = True) -> Iterator[MulticoloredModel]:
     """Every valid model over colors 1..k, exactly once, in canonical order."""
-    if k < 0:
-        raise ValueError(f"color count must be nonnegative, got {k}")
+    _check_k(k)
     prefix: list[Point] = []
 
     def extend(avail: tuple[int, ...], remaining: int, last_r: bool) -> Iterator[MulticoloredModel]:
@@ -95,6 +99,7 @@ def enumerate_surjective(k: int, constrained: bool = True) -> Iterator[Multicolo
 
 def enumerate_ordered_set_partitions(k: int, cap: int | None = None) -> Iterator[MulticoloredModel]:
     """All-S-point surjective models: the ordered set partitions of {1..k}."""
+    _check_k(k)
     _check_cap(k, cap)
     prefix: list[Point] = []
 
@@ -137,16 +142,10 @@ def count_ordered_set_partitions_by_enumeration(k: int, cap: int | None = None) 
 def surjective_first_point_split(
     k: int, constrained: bool = True, cap: int | None = None
 ) -> tuple[int, int]:
-    """(S-first, R-first) counts over the surjective stream.
+    """(S-first, R-first) counts over the surjective stream, by walking all models.
 
     The empty model (k=0) lands in the S-first slot, matching the recurrence
     base K1(0)=1, K2(0)=0.
     """
     _check_cap(k, cap)
-    s_first = r_first = 0
-    for m in enumerate_surjective(k, constrained):
-        if m.points and isinstance(m.points[0], RPoint):
-            r_first += 1
-        else:
-            s_first += 1
-    return s_first, r_first
+    return kernel.root_split(k, constrained, True)

@@ -145,8 +145,8 @@ def run_checks(k_max: int = 25, series_order: int = 25, cap: int | None = None) 
         _sequence_check(
             "surjective split (constrained)",
             range(split_top + 1),
-            lambda k: enumeration.count_surjective_by_enumeration(k, True, cap=cap),
-            lambda k: counting.k1(k) + counting.k2(k),
+            lambda k: enumeration.surjective_first_point_split(k, True, cap=cap),
+            lambda k: (counting.k1(k), counting.k2(k)),
             f"k=0..{split_top} exact",
         )
     )

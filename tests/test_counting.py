@@ -102,8 +102,8 @@ def test_j_surjective_equals_brute_force():
 def test_k_split_equals_brute_force():
     for k in range(7):
         assert k1(k) + k2(k) == count_surjective_by_enumeration(k, True)
-    for k in range(6):
-        s_first, r_first = surjective_first_point_split(k, True)
+    for k in range(9):
+        s_first, r_first = surjective_first_point_split(k, True, cap=8)
         assert (s_first, r_first) == (k1(k), k2(k))
 
 

@@ -134,6 +134,15 @@ def test_partition_by_used_color_set():
 def test_first_point_split():
     assert surjective_first_point_split(0, True) == (1, 0)
     assert surjective_first_point_split(2, True) == (5, 2)
+    # reference: classify the materialised surjective stream by its first point
+    for k in range(6):
+        for constrained in (True, False):
+            split = [0, 0]
+            for m in enumerate_surjective(k, constrained):
+                r_first = bool(m.points) and isinstance(m.points[0], RPoint)
+                split[r_first] += 1
+            assert kernel.root_split(k, constrained, True) == tuple(split)
+            assert surjective_first_point_split(k, constrained) == tuple(split)
 
 
 def test_ordered_set_partition_examples():
@@ -160,23 +169,6 @@ def test_ordered_set_partition_count_matches_stream():
         )
 
 
-def test_kernel_backends_agree():
-    pytest.importorskip("homcount._countwalk")
-    from homcount import _countwalk, _countwalk_py
-
-    for k in range(6):
-        for constrained in (True, False):
-            assert _countwalk.count_models(k, constrained) == _countwalk_py.count_models(
-                k, constrained
-            )
-            assert _countwalk.count_surjective(
-                k, constrained
-            ) == _countwalk_py.count_surjective(k, constrained)
-        assert _countwalk.count_ordered_set_partitions(
-            k
-        ) == _countwalk_py.count_ordered_set_partitions(k)
-
-
 def test_kernel_guard():
     with pytest.raises(ValueError):
         kernel.count_models(17, True)
@@ -187,3 +179,5 @@ def test_kernel_guard():
 def test_negative_k_rejected():
     with pytest.raises(ValueError):
         list(enumerate_models(-1, True))
+    with pytest.raises(ValueError):
+        list(enumerate_ordered_set_partitions(-1))

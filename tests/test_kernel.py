@@ -1,19 +1,6 @@
-"""Backend selection and compiled/pure agreement."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
+"""The brute-force walk: reference counts and the first-point split at its root."""
 
 from homcount import kernel
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_backend_is_reported():
-    assert kernel.BACKEND in ("compiled", "python")
 
 
 def test_selected_backend_counts_correctly():
@@ -23,33 +10,9 @@ def test_selected_backend_counts_correctly():
     assert kernel.count_ordered_set_partitions(4) == 75
 
 
-def test_pure_backend_forced_by_env():
-    code = (
-        "from homcount import kernel; "
-        "assert kernel.BACKEND == 'python', kernel.BACKEND; "
-        "assert kernel.count_models(3, True) == 71"
-    )
-    env = dict(os.environ, HOMCOUNT_PURE="1", PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.parametrize("k", range(7))
-def test_backends_agree_when_both_present(k):
-    pytest.importorskip("homcount._countwalk")
-    from homcount import _countwalk, _countwalk_py
-
-    for constrained in (True, False):
-        assert _countwalk.count_models(k, constrained) == _countwalk_py.count_models(
-            k, constrained
-        )
-        assert _countwalk.count_surjective(k, constrained) == _countwalk_py.count_surjective(
-            k, constrained
-        )
-    assert _countwalk.count_ordered_set_partitions(k) == _countwalk_py.count_ordered_set_partitions(k)
+def test_root_split_parts():
+    assert kernel.root_split(0, True, False) == (1, 0)
+    assert kernel.root_split(1, True, False) == (2, 1)  # empty and S{1}; R1
+    assert kernel.root_split(2, True, True) == (5, 2)
+    assert kernel.root_split(2, False, True) == (5, 4)
+    assert kernel.root_split(4, False, True, r_points=False) == (75, 0)
