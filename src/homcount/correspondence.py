@@ -169,13 +169,30 @@ def classify_cnm(d: OrderingDescription, n: ExtendedNat, m: ExtendedNat) -> bool
 
 
 def _automorphisms(o: FiniteColoredOrdering) -> list[tuple[int, ...]]:
-    """All order- and color-preserving self-bijections, found exhaustively."""
-    size = len(o.colors)
-    autos = []
-    for perm in itertools.permutations(range(size)):
-        if all(perm[i] < perm[j] for i in range(size) for j in range(i + 1, size)):
-            if all(o.colors[perm[i]] == o.colors[i] for i in range(size)):
-                autos.append(perm)
+    """All order- and color-preserving self-bijections, found exhaustively.
+
+    A backtracking search extends a partial map position by position, each to
+    a strictly later position of the same color, and keeps every map that
+    completes: exactly the permutations of range(size) that are increasing
+    and color-preserving, in lexicographic order.
+    """
+    colors = o.colors
+    size = len(colors)
+    autos: list[tuple[int, ...]] = []
+    partial: list[int] = []
+
+    def extend(start: int) -> None:
+        i = len(partial)
+        if i == size:
+            autos.append(tuple(partial))
+            return
+        for j in range(start, size):
+            if colors[j] == colors[i]:
+                partial.append(j)
+                extend(j + 1)
+                partial.pop()
+
+    extend(0)
     return autos
 
 

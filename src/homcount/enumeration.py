@@ -3,21 +3,27 @@
 The stream is the ground truth that every counting formula is checked against.
 Models are produced shortest first, then lexicographically by point encoding
 (R-points before S-points, R by color, S by sorted color list), exactly the
-order of model.canonical_compare. Generation recurses over the first point.
+order of model.canonical_compare. One generator, _stream, serves all three
+public streams; it recurses over the next point and reads that point's
+candidates from a per-mask move table (_point_moves) of (point, rest, size)
+triples in canonical order. Each RPoint and SPoint is built once per color or
+color mask and shared by every table and every model (points are frozen).
 
 Counting never materializes models: it goes through homcount.kernel, which
-walks the same choice tree, one node per model, and splits the surjective
-models into S-first and R-first at its root. Streams are lazy and keep O(k)
-state.
+walks the same choice tree and splits the surjective models into S-first and
+R-first at its root. Streams are lazy: besides the current chain of at most k
+generator frames they hold only the move tables, 3^k entries for k colors,
+which is why they refuse k beyond kernel.MAX_K = 12.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cache
 from typing import Iterator
 
 from homcount import kernel
-from homcount.model import MulticoloredModel, Point, RPoint, SPoint
+from homcount.model import MulticoloredModel, RPoint, SPoint
 
 DEFAULT_CAP = 7
 
@@ -41,83 +47,89 @@ def brute_force_cap(override: int | None = None) -> int:
     return int(env) if env else DEFAULT_CAP
 
 
-def _check_k(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"color count must be nonnegative, got {k}")
-
-
 def _check_cap(k: int, cap: int | None) -> None:
     limit = brute_force_cap(cap)
     if k > limit:
         raise BruteForceCapError(k, limit)
 
 
-def _nonempty_subsets(colors: tuple[int, ...], max_size: int) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of the sorted tuple `colors`, in lexicographic order."""
-    for i in range(len(colors)):
-        head = (colors[i],)
-        yield head
-        if max_size > 1:
-            for tail in _nonempty_subsets(colors[i + 1 :], max_size - 1):
-                yield head + tail
+def _lex_subsets(mask: int) -> Iterator[int]:
+    """Nonempty submasks of `mask`, in lexicographic order of their sorted colors."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        yield low
+        for tail in _lex_subsets(rest):
+            yield low | tail
+
+
+@cache
+def _r_point(bit: int) -> RPoint:
+    return RPoint(bit.bit_length())
+
+
+@cache
+def _s_point(mask: int) -> SPoint:
+    return SPoint(c + 1 for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+@cache
+def _point_moves(avail: int) -> tuple[tuple, tuple]:
+    """(R-moves, S-moves) of a model whose free colors are `avail`, each a tuple
+    of (point, rest, size) in canonical order. Points are shared between tables."""
+    r_moves = []
+    m = avail
+    while m:
+        low = m & -m
+        m ^= low
+        r_moves.append((_r_point(low), avail ^ low, 1))
+    s_moves = tuple((_s_point(sub), avail ^ sub, sub.bit_count()) for sub in _lex_subsets(avail))
+    return tuple(r_moves), s_moves
+
+
+def _stream(k: int, constrained: bool, surjective: bool, r_points: bool) -> Iterator[MulticoloredModel]:
+    """Every model over colors 1..k, in canonical order, under root_split's flags:
+    `constrained` forbids two R-points in a row, `r_points=False` forbids
+    R-points, `surjective` keeps only the models that use every color."""
+    kernel.check_k(k)
+    after_r = r_points and not constrained
+
+    def extend(prefix: tuple, avail: int, remaining: int, r_ok: bool) -> Iterator[MulticoloredModel]:
+        """The models that extend `prefix` by exactly `remaining` >= 1 points."""
+        r_moves, s_moves = _point_moves(avail)
+        budget = avail.bit_count() - remaining + 1  # colors this point may consume
+        for moves, r_next in ((r_moves if r_ok else (), after_r), (s_moves, r_points)):
+            if remaining == 1:
+                for point, rest, _ in moves:
+                    if not (surjective and rest):
+                        yield MulticoloredModel(k, prefix + (point,), constrained)
+            else:
+                for point, rest, size in moves:
+                    if size <= budget:
+                        yield from extend(prefix + (point,), rest, remaining - 1, r_next)
+
+    if not (surjective and k):
+        yield MulticoloredModel(k, (), constrained)
+    full = (1 << k) - 1
+    for length in range(1, k + 1):  # no color reuse forces at most k points
+        yield from extend((), full, length, r_points)
 
 
 def enumerate_models(k: int, constrained: bool = True) -> Iterator[MulticoloredModel]:
     """Every valid model over colors 1..k, exactly once, in canonical order."""
-    _check_k(k)
-    prefix: list[Point] = []
-
-    def extend(avail: tuple[int, ...], remaining: int, last_r: bool) -> Iterator[MulticoloredModel]:
-        if remaining == 0:
-            yield MulticoloredModel(k, tuple(prefix), constrained)
-            return
-        budget = len(avail) - (remaining - 1)  # colors this point may consume
-        if budget >= 1:
-            if not (constrained and last_r):
-                for c in avail:
-                    prefix.append(RPoint(c))
-                    yield from extend(tuple(x for x in avail if x != c), remaining - 1, True)
-                    prefix.pop()
-            for subset in _nonempty_subsets(avail, budget):
-                chosen = set(subset)
-                prefix.append(SPoint(chosen))
-                yield from extend(
-                    tuple(x for x in avail if x not in chosen), remaining - 1, False
-                )
-                prefix.pop()
-
-    colors = tuple(range(1, k + 1))
-    for length in range(k + 1):  # no color reuse forces at most k points
-        yield from extend(colors, length, False)
+    return _stream(k, constrained, False, True)
 
 
 def enumerate_surjective(k: int, constrained: bool = True) -> Iterator[MulticoloredModel]:
     """The sub-stream of enumerate_models whose models use every color in 1..k."""
-    full = frozenset(range(1, k + 1))
-    return (m for m in enumerate_models(k, constrained) if m.used_colors() == full)
+    return _stream(k, constrained, True, True)
 
 
 def enumerate_ordered_set_partitions(k: int, cap: int | None = None) -> Iterator[MulticoloredModel]:
     """All-S-point surjective models: the ordered set partitions of {1..k}."""
-    _check_k(k)
     _check_cap(k, cap)
-    prefix: list[Point] = []
-
-    def extend(avail: tuple[int, ...], remaining: int) -> Iterator[MulticoloredModel]:
-        if remaining == 0:
-            if not avail:
-                yield MulticoloredModel(k, tuple(prefix), False)
-            return
-        budget = len(avail) - (remaining - 1)
-        for subset in _nonempty_subsets(avail, budget):
-            chosen = set(subset)
-            prefix.append(SPoint(chosen))
-            yield from extend(tuple(x for x in avail if x not in chosen), remaining - 1)
-            prefix.pop()
-
-    colors = tuple(range(1, k + 1))
-    for length in range(k + 1):
-        yield from extend(colors, length)
+    yield from _stream(k, False, True, False)
 
 
 def count_by_enumeration(k: int, constrained: bool = True, cap: int | None = None) -> int:

@@ -343,16 +343,43 @@ def model_to_dict(m: MulticoloredModel) -> dict:
     return {"k": m.k, "adjacency_constrained": m.adjacency_constrained, "points": points}
 
 
+def _int(value, what: str) -> int:
+    """`value` if it is a JSON integer. JSON's booleans load as bool and its
+    floats as float, so both are refused here rather than coerced."""
+    if type(value) is int:
+        return value
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _bool(value, what: str) -> bool:
+    if type(value) is bool:
+        return value
+    raise ValueError(f"{what} must be true or false, got {value!r}")
+
+
+def _list(value, what: str) -> list:
+    if type(value) is list:
+        return value
+    raise ValueError(f"{what} must be a list, got {value!r}")
+
+
+def _colors(value, what: str) -> list[int]:
+    for c in _list(value, what):
+        if type(c) is not int:
+            raise ValueError(f"a color in {what} must be an integer, got {c!r}")
+    return value
+
+
 def model_from_dict(data: dict) -> MulticoloredModel:
     try:
-        k = data["k"]
-        constrained = data["adjacency_constrained"]
+        k = _int(data["k"], "k")
+        constrained = _bool(data["adjacency_constrained"], "adjacency_constrained")
         points: list[Point] = []
-        for entry in data["points"]:
+        for entry in _list(data["points"], "points"):
             if entry["type"] == "R":
-                points.append(RPoint(entry["color"]))
+                points.append(RPoint(_int(entry["color"], "color")))
             elif entry["type"] == "S":
-                points.append(SPoint(entry["colors"]))
+                points.append(SPoint(_colors(entry["colors"], "colors")))
             else:
                 raise ValueError(f"unknown point type {entry['type']!r}")
     except (KeyError, TypeError) as exc:
@@ -368,7 +395,7 @@ def kind_to_json(kind: BlockKind):
 
 def kind_from_json(data) -> BlockKind:
     if isinstance(data, dict) and set(data) == {"finite"}:
-        return Finite(data["finite"])
+        return Finite(_int(data["finite"], "finite size"))
     if isinstance(data, str):
         for member in InfiniteKind:
             if member.value == data:
@@ -391,11 +418,11 @@ def description_to_dict(d: OrderingDescription) -> dict:
 def description_from_dict(data: dict) -> OrderingDescription:
     try:
         segments: list[Segment] = []
-        for entry in data["segments"]:
+        for entry in _list(data["segments"], "segments"):
             if entry["type"] == "block":
                 segments.append(SingletonBlock(kind_from_json(entry["kind"])))
             elif entry["type"] == "shuffle":
-                segments.append(Shuffle(kind_from_json(k) for k in entry["kinds"]))
+                segments.append(Shuffle(kind_from_json(k) for k in _list(entry["kinds"], "kinds")))
             else:
                 raise ValueError(f"unknown segment type {entry['type']!r}")
     except (KeyError, TypeError) as exc:
@@ -416,11 +443,11 @@ def colored_description_to_dict(d: ColoredDescription) -> dict:
 def colored_description_from_dict(data: dict) -> ColoredDescription:
     try:
         segments: list[ColorSegment] = []
-        for entry in data["segments"]:
+        for entry in _list(data["segments"], "segments"):
             if entry["type"] == "block":
-                segments.append(ColorPoint(entry["color"]))
+                segments.append(ColorPoint(_int(entry["color"], "color")))
             elif entry["type"] == "shuffle":
-                segments.append(ColorShuffle(entry["colors"]))
+                segments.append(ColorShuffle(_colors(entry["colors"], "colors")))
             else:
                 raise ValueError(f"unknown segment type {entry['type']!r}")
     except (KeyError, TypeError) as exc:

@@ -140,6 +140,19 @@ def test_enumerate_respects_cap(capsys):
     assert "cap of 7" in err
 
 
+def test_enumerate_beyond_the_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--k", "13", "--cap", "40")
+    assert code == 2
+    assert out == ""
+    assert "beyond k=12" in err and "Traceback" not in err
+
+
+def test_brute_force_count_beyond_the_bound_is_usage_error(capsys):
+    code, _, err = run(capsys, "count", "--sequence", "L", "--k", "13", "--method", "brute-force", "--cap", "40")
+    assert code == 2
+    assert "beyond k=12" in err and "Traceback" not in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--k-max", "6")
     assert code == 0
@@ -314,3 +327,30 @@ def test_contract_out_of_range_kind(tmp_path, capsys):
     code, _, err = run(capsys, "contract", "--k", "3", "--input", str(src))
     assert code == 2
     assert "finite-label range" in err
+
+
+def _model(**fields):
+    points = [{"type": "S", "colors": [1, 2]}, {"type": "R", "color": 3}]
+    return {"k": 3, "adjacency_constrained": True, "points": points, **fields}
+
+
+# the wrongly typed inputs of the ROADMAP's strict-wire-format table, one per row
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["expand"], _model(k="3")),
+        (["expand"], _model(points=[{"type": "S", "colors": "12"}])),
+        (["expand"], _model(adjacency_constrained="yes")),
+        (["expand"], _model(points=[{"type": "R", "color": 1.0}])),
+        (["expand"], _model(points=[{"type": "R", "color": True}])),
+        (["contract", "--k", "3"], {"segments": [{"type": "block", "kind": {"finite": True}}]}),
+    ],
+    ids=["k-str", "colors-str", "flag-str", "color-float", "color-bool", "finite-bool"],
+)
+def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--input", str(src))
+    assert code == 2
+    assert out == ""
+    assert err and "Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 
 from homcount.correspondence import (
     InvalidStructureError,
+    _automorphisms,
     classify_cnm,
     contract_colored,
     contract_description,
@@ -180,3 +181,21 @@ def test_homogeneity_reduction():
             o = FiniteColoredOrdering(colors)
             expected = len(set(colors)) == len(colors)
             assert is_finite_homogeneous(o) == expected, colors
+
+
+def permutation_filter_automorphisms(o):
+    """Reference: filter all size! permutations for increasing, color-preserving maps."""
+    size = len(o.colors)
+    return [
+        perm
+        for perm in itertools.permutations(range(size))
+        if all(perm[i] < perm[i + 1] for i in range(size - 1))
+        and all(o.colors[perm[i]] == o.colors[i] for i in range(size))
+    ]
+
+
+def test_automorphism_search_matches_permutation_filter():
+    for length in range(7):
+        for colors in itertools.product([1, 2, 3], repeat=length):
+            o = FiniteColoredOrdering(colors)
+            assert _automorphisms(o) == permutation_filter_automorphisms(o), colors

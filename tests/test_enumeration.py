@@ -1,11 +1,17 @@
-"""Stream correctness: completeness, canonical order, determinism, kernel parity."""
+"""Stream correctness: completeness, canonical order, determinism, kernel parity, bounds."""
 
+import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from homcount import kernel
+from homcount import enumeration, kernel
 from homcount.combinatorics import binomial
 from homcount.enumeration import (
     BruteForceCapError,
@@ -17,7 +23,7 @@ from homcount.enumeration import (
     enumerate_surjective,
     surjective_first_point_split,
 )
-from homcount.model import MulticoloredModel, RPoint, SPoint, canonical_key, validate_model
+from homcount.model import MulticoloredModel, RPoint, SPoint, canonical_key, model_to_dict, validate_model
 
 
 def naive_models(k, constrained):
@@ -170,10 +176,80 @@ def test_ordered_set_partition_count_matches_stream():
 
 
 def test_kernel_guard():
-    with pytest.raises(ValueError):
-        kernel.count_models(17, True)
+    assert kernel.MAX_K == 12
+    with pytest.raises(ValueError, match="beyond k=12"):
+        kernel.count_models(13, True)
     with pytest.raises(ValueError):
         kernel.count_models(-1, True)
+
+
+def test_streams_refuse_k_beyond_the_bound_on_first_next():
+    for stream in (
+        enumerate_models(13),
+        enumerate_models(13, False),
+        enumerate_surjective(13),
+        enumerate_surjective(13, False),
+        enumerate_ordered_set_partitions(13, cap=40),
+    ):
+        with pytest.raises(ValueError, match="beyond k=12"):
+            next(stream)
+
+
+def test_table_memory_stays_small():
+    # the move tables are all the walk and the stream keep between calls;
+    # each point is built once per color or color mask and shared
+    code = (
+        "import tracemalloc\n"
+        "from homcount.enumeration import enumerate_models\n"
+        "from homcount.kernel import count_models\n"
+        "tracemalloc.start()\n"
+        "count_models(8, True)\n"
+        "len(list(enumerate_models(6, True)))\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 2_000_000
+
+
+# sha256 of the model_to_dict JSON lines of each stream over k = 0..5,
+# recorded from the tuple-based generators that the move tables replaced
+GOLDEN_STREAMS = {
+    ("models", True): (6132, "c38df2d6a61f29534435a183fb75ffe6a718a2598af51b2b559adb0022ed89d9"),
+    ("models", False): (10658, "aef504d14dc120f6d8b3bfe0f348235f02cf44e25c5443b3e38169b87ad16c7c"),
+    ("surjective", True): (3689, "b125064aed126fbf65e4b76b62dcf6c34015561c12b33f0cf54fafe3667d200f"),
+    ("surjective", False): (6845, "78a05e0706ecc4b1ced9cd6d7aaa0a66ba130dbd49c3b8ece0ffba5c924d94cc"),
+    ("ordered_set_partitions", False): (634, "154fcda0e8667a2ce7a5a17973296cf40cb30344b2e61c3cab26ad8478dcf97e"),
+}
+
+
+@pytest.mark.parametrize("stream,constrained", sorted(GOLDEN_STREAMS))
+def test_stream_bytes_match_golden(stream, constrained):
+    make = {
+        "models": lambda k: enumerate_models(k, constrained),
+        "surjective": lambda k: enumerate_surjective(k, constrained),
+        "ordered_set_partitions": enumerate_ordered_set_partitions,
+    }[stream]
+    digest, count = hashlib.sha256(), 0
+    for k in range(6):
+        for m in make(k):
+            digest.update((json.dumps(model_to_dict(m)) + "\n").encode())
+            count += 1
+    assert (count, digest.hexdigest()) == GOLDEN_STREAMS[stream, constrained]
+
+
+def test_streams_share_points():
+    models = list(enumerate_models(3, False))
+    s12 = [p for m in models for p in m.points if p == SPoint({1, 2})]
+    r3 = [p for m in models for p in m.points if p == RPoint(3)]
+    assert len(s12) > 1 and len(r3) > 1
+    assert all(p is s12[0] for p in s12) and all(p is r3[0] for p in r3)
+    assert enumeration._point_moves(0b101)[1] == (
+        (SPoint({1}), 0b100, 1),
+        (SPoint({1, 3}), 0, 2),
+        (SPoint({3}), 0b001, 1),
+    )
 
 
 def test_negative_k_rejected():

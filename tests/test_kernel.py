@@ -1,6 +1,37 @@
 """The brute-force walk: reference counts and the first-point split at its root."""
 
+import itertools
+
+import pytest
+
 from homcount import kernel
+
+
+def reference_split(k, constrained, surjective, r_points=True):
+    """The walk without move tables or folded subtrees: one call per model."""
+    after_r = r_points and not constrained
+    inner = 0 if surjective else 1
+
+    def walk(avail, r_ok):
+        if not avail:
+            return 1
+        total = inner
+        if r_ok:
+            m = avail
+            while m:
+                low = m & -m
+                total += walk(avail ^ low, after_r)
+                m ^= low
+        sub = avail
+        while sub:
+            total += walk(avail ^ sub, r_points)
+            sub = (sub - 1) & avail
+        return total
+
+    full = (1 << k) - 1
+    s_first = walk(full, False)
+    r_first = sum(walk(full ^ (1 << c), after_r) for c in range(k)) if r_points else 0
+    return s_first, r_first
 
 
 def test_selected_backend_counts_correctly():
@@ -16,3 +47,12 @@ def test_root_split_parts():
     assert kernel.root_split(2, True, True) == (5, 2)
     assert kernel.root_split(2, False, True) == (5, 4)
     assert kernel.root_split(4, False, True, r_points=False) == (75, 0)
+
+
+@pytest.mark.parametrize("constrained,surjective,r_points", itertools.product([True, False], repeat=3))
+def test_root_split_matches_call_per_model_walk(constrained, surjective, r_points):
+    for k in range(8):
+        assert kernel.root_split(k, constrained, surjective, r_points) == reference_split(
+            k, constrained, surjective, r_points
+        ), k
+

@@ -224,3 +224,23 @@ def test_json_rejects_malformed():
         model_from_dict({"k": 1, "adjacency_constrained": True, "points": [{"type": "Q"}]})
     with pytest.raises(ValueError):
         description_from_dict({"segments": [{"type": "block", "kind": "sideways"}]})
+
+
+def test_json_rejects_wrong_types():
+    model = {"k": 2, "adjacency_constrained": False, "points": [{"type": "S", "colors": [1, 2]}]}
+    assert model_from_dict(model) == MulticoloredModel(2, [SPoint({1, 2})], False)
+    for key, value in [("k", "2"), ("k", True), ("k", 2.0), ("adjacency_constrained", 1), ("points", {})]:
+        with pytest.raises(ValueError):
+            model_from_dict({**model, key: value})
+    for point in [{"type": "R", "color": False}, {"type": "S", "colors": [1, 2.0]}, {"type": "S", "colors": {"1": 1}}]:
+        with pytest.raises(ValueError):
+            model_from_dict({**model, "points": [point]})
+    for segment in [{"type": "block", "color": "1"}, {"type": "shuffle", "colors": "12"},
+                    {"type": "shuffle", "colors": [True]}]:
+        with pytest.raises(ValueError):
+            colored_description_from_dict({"segments": [segment]})
+    for segment in [{"type": "block", "kind": {"finite": 1.0}}, {"type": "shuffle", "kinds": "omega"}]:
+        with pytest.raises(ValueError):
+            description_from_dict({"segments": [segment]})
+    with pytest.raises(ValueError):
+        description_from_dict({"segments": "none"})
