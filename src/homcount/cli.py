@@ -6,6 +6,12 @@ exact decimals (JSON exports carry them as strings, since they outgrow
 53-bit floats early). Exit codes: 0 success, 1 check or runtime failure,
 2 usage error. HOMCOUNT_CAP overrides the default brute-force cap of 7.
 
+ROUTES is the one table of counted sequences: for each sequence, the first
+index of its term list and its methods, each a function value(k, cap) with the
+default method first. `count` checks the method and the index against it and
+`export` lists the default route. Each brute-force route applies the cap
+(enumeration.check_cap) and then runs one kernel.root_split walk.
+
 Computed values are printed in full, however many digits they have; the
 interpreter's int/str digit limit still applies to numbers parsed from argv
 and from JSON input.
@@ -16,19 +22,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 
-from homcount import asymptotics, counting, enumeration, series, verify
-from homcount.correspondence import (
-    InvalidStructureError,
-    contract_colored,
-    contract_description,
-    expand_colored,
-    expand_model,
-)
-from homcount.counting import SEQUENCE_START, SequenceId
-from homcount.enumeration import BruteForceCapError
+from homcount import asymptotics, counting, enumeration, kernel, series, verify
+from homcount.correspondence import contract_colored, contract_description, expand_colored, expand_model
+from homcount.counting import SequenceId
 from homcount.model import (
     colored_description_from_dict,
     colored_description_to_dict,
@@ -41,20 +42,43 @@ from homcount.model import (
 USAGE_ERROR = 2
 FAILURE = 1
 
-METHODS = {
-    SequenceId.I: ("recurrence", "closed-form", "brute-force"),
-    SequenceId.L: ("recurrence", "egf", "brute-force"),
-    SequenceId.J_SURJECTIVE: ("recurrence", "egf", "brute-force"),
-    SequenceId.K1: ("recurrence", "brute-force"),
-    SequenceId.K2: ("recurrence", "brute-force"),
-    SequenceId.FUBINI: ("recurrence", "egf", "brute-force"),
-    SequenceId.I_CLOSED_NONEMPTY: ("closed-form", "brute-force"),
-}
+Route = Callable[[int, int | None], int]  # value(k, cap)
 
-_EGF_BUILDERS = {
-    SequenceId.L: series.egf_H,
-    SequenceId.J_SURJECTIVE: series.egf_f,
-    SequenceId.FUBINI: series.egf_fubini,
+
+def _exact(fn: Callable[[int], int]) -> Route:
+    """A recurrence or closed form: no cap applies."""
+    return lambda k, cap: fn(k)
+
+
+def _egf(build: Callable) -> Route:
+    """k! times coefficient k of the series built to order k."""
+    return lambda k, cap: series.egf_counts(build(k), k)
+
+
+def _walk(pick: Callable, constrained: bool, surjective: bool, r_points: bool = True) -> Route:
+    """The cap check, then one walk; `pick` reduces its (S-first, R-first) split."""
+
+    def value(k: int, cap: int | None) -> int:
+        enumeration.check_cap(k, cap)
+        return pick(kernel.root_split(k, constrained, surjective, r_points))
+
+    return value
+
+
+# sequence -> (first index of its term list, {method: route}), default method first
+ROUTES: dict[SequenceId, tuple[int, dict[str, Route]]] = {
+    SequenceId.I: (1, {"recurrence": _exact(counting.count_I), "closed-form": _exact(counting.closed_form_I),
+                       "brute-force": _walk(sum, True, False)}),
+    SequenceId.L: (0, {"recurrence": _exact(counting.count_L), "egf": _egf(series.egf_H),
+                       "brute-force": _walk(sum, False, False)}),
+    SequenceId.J_SURJECTIVE: (0, {"recurrence": _exact(counting.j_surjective), "egf": _egf(series.egf_f),
+                                  "brute-force": _walk(sum, False, True)}),
+    SequenceId.K1: (0, {"recurrence": _exact(counting.k1), "brute-force": _walk(itemgetter(0), True, True)}),
+    SequenceId.K2: (0, {"recurrence": _exact(counting.k2), "brute-force": _walk(itemgetter(1), True, True)}),
+    SequenceId.FUBINI: (0, {"recurrence": _exact(counting.fubini), "egf": _egf(series.egf_fubini),
+                            "brute-force": _walk(sum, False, True, r_points=False)}),
+    SequenceId.I_CLOSED_NONEMPTY: (1, {"closed-form": _exact(counting.closed_form_I),
+                                       "brute-force": _walk(lambda split: sum(split) - 1, True, False)}),
 }
 
 
@@ -132,40 +156,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _count_value(seq: SequenceId, k: int, method: str, cap: int | None) -> int:
-    if method == "recurrence" or (method == "closed-form" and seq == SequenceId.I_CLOSED_NONEMPTY):
-        return counting.sequence_value(seq, k)
-    if method == "closed-form":
-        return counting.closed_form_I(k)
-    if method == "egf":
-        return series.egf_counts(_EGF_BUILDERS[seq](k), k)
-    # brute force
-    if seq in (SequenceId.I, SequenceId.L):
-        return enumeration.count_by_enumeration(k, seq == SequenceId.I, cap=cap)
-    if seq == SequenceId.I_CLOSED_NONEMPTY:
-        return enumeration.count_by_enumeration(k, True, cap=cap) - 1
-    if seq == SequenceId.J_SURJECTIVE:
-        return enumeration.count_surjective_by_enumeration(k, False, cap=cap)
-    if seq == SequenceId.FUBINI:
-        return enumeration.count_ordered_set_partitions_by_enumeration(k, cap=cap)
-    split = enumeration.surjective_first_point_split(k, True, cap=cap)
-    return split[0] if seq == SequenceId.K1 else split[1]
-
-
 def cmd_count(args) -> int:
     seq: SequenceId = args.sequence
-    method = args.method or METHODS[seq][0]
-    if method not in METHODS[seq]:
+    start, routes = ROUTES[seq]
+    method = args.method or next(iter(routes))
+    if method not in routes:
         print(
             f"method {method!r} does not apply to sequence {seq.value}; "
-            f"valid: {', '.join(METHODS[seq])}",
+            f"valid: {', '.join(routes)}",
             file=sys.stderr,
         )
         return USAGE_ERROR
-    if args.k < SEQUENCE_START[seq]:
-        print(f"sequence {seq.value} starts at k={SEQUENCE_START[seq]}", file=sys.stderr)
+    if args.k < start:
+        print(f"sequence {seq.value} starts at k={start}", file=sys.stderr)
         return USAGE_ERROR
-    value = _count_value(seq, args.k, method, args.cap)
+    value = routes[method](args.k, args.cap)
     print(f"{seq.value}({args.k}) = {_digits(value)} [{method}]")
     if seq == SequenceId.I and method == "closed-form":
         print("note: excludes the empty ordering; recurrence value is +1")
@@ -173,9 +178,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    limit = enumeration.brute_force_cap(args.cap)
-    if args.k > limit:
-        raise BruteForceCapError(args.k, limit)
+    enumeration.check_cap(args.k, args.cap)
     for m in enumeration.enumerate_models(args.k, not args.unconstrained):
         print(json.dumps(model_to_dict(m)))
     return 0
@@ -194,8 +197,9 @@ def cmd_verify(args) -> int:
 
 
 def _export_lines(seq: SequenceId, k_max: int, fmt: str) -> str:
-    start = SEQUENCE_START[seq]
-    terms = [(k, _digits(counting.sequence_value(seq, k))) for k in range(start, k_max + 1)]
+    start, routes = ROUTES[seq]
+    default = next(iter(routes.values()))
+    terms = [(k, _digits(default(k, None))) for k in range(start, k_max + 1)]
     if fmt == "b-file":
         return "".join(f"{k} {v}\n" for k, v in terms)
     if fmt == "csv":
@@ -205,8 +209,9 @@ def _export_lines(seq: SequenceId, k_max: int, fmt: str) -> str:
 
 def cmd_export(args) -> int:
     seq: SequenceId = args.sequence
-    if args.k_max < SEQUENCE_START[seq]:
-        print(f"sequence {seq.value} starts at k={SEQUENCE_START[seq]}", file=sys.stderr)
+    start = ROUTES[seq][0]
+    if args.k_max < start:
+        print(f"sequence {seq.value} starts at k={start}", file=sys.stderr)
         return USAGE_ERROR
     payload = _export_lines(seq, args.k_max, args.format)
     if args.output == "-":
@@ -259,10 +264,13 @@ def cmd_asymptotic(args) -> int:
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -311,10 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BruteForceCapError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
-    except (InvalidStructureError, ValueError) as exc:
+    except ValueError as exc:  # BruteForceCapError and InvalidStructureError among them
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

@@ -5,54 +5,44 @@ rational series coefficients use ``fractions.Fraction`` (``ExactRational``),
 which is always stored in lowest terms with a positive denominator. Nothing
 here ever rounds.
 
-binomial and stirling2 are memoized in triangular tables grown on demand:
-counting.closed_form_I and verify's Pascal and Stirling property suites
-re-query small cells heavily (the recurrence tables in counting use none of
-them, so they stay independent of the closed form that checks them). Rows are
-built completely before being published, so concurrent readers always observe
-correct values.
+factorial and binomial are the standard library's math.factorial and math.comb
+behind a nonnegativity check, so verify's Pascal identity check tests an
+implementation that was not built from that identity. The stdlib has no
+Stirling numbers: stirling2 is memoized in a triangular table grown on demand,
+because counting.closed_form_I and verify's Stirling property suite re-query
+small cells heavily (the recurrence tables in counting use none of these
+primitives, so they stay independent of the closed form that checks them). Rows
+are built completely before being published, so concurrent readers always
+observe correct values.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
 BigCount = int
 ExactRational = Fraction
 
-_factorials: list[int] = [1]
-_binomial_rows: list[list[int]] = [[1]]
 _stirling_rows: list[list[int]] = [[1]]
-# one lock per table: growth appends a row derived from the previous one, so
-# two growers racing would duplicate rows and corrupt every later cell
-_locks = {"factorial": threading.Lock(), "binomial": threading.Lock(), "stirling": threading.Lock()}
+# growth appends a row derived from the previous one, so two growers racing
+# would duplicate rows and corrupt every later cell
+_stirling_lock = threading.Lock()
 
 
 def factorial(n: int) -> int:
     """n! for n >= 0."""
     if n < 0:
         raise ValueError(f"factorial of negative argument {n}")
-    if len(_factorials) <= n:
-        with _locks["factorial"]:
-            while len(_factorials) <= n:
-                _factorials.append(_factorials[-1] * len(_factorials))
-    return _factorials[n]
+    return math.factorial(n)
 
 
 def binomial(n: int, r: int) -> int:
     """C(n, r); zero when r > n."""
     if n < 0 or r < 0:
         raise ValueError(f"binomial arguments must be nonnegative, got ({n}, {r})")
-    if r > n:
-        return 0
-    if len(_binomial_rows) <= n:
-        with _locks["binomial"]:
-            while len(_binomial_rows) <= n:
-                prev = _binomial_rows[-1]
-                row = [1] + [prev[j - 1] + prev[j] for j in range(1, len(prev))] + [1]
-                _binomial_rows.append(row)
-    return _binomial_rows[n][r]
+    return math.comb(n, r)
 
 
 def stirling2(n: int, m: int) -> int:
@@ -68,7 +58,7 @@ def stirling2(n: int, m: int) -> int:
     if m > n:
         return 0
     if len(_stirling_rows) <= n:
-        with _locks["stirling"]:
+        with _stirling_lock:
             while len(_stirling_rows) <= n:
                 prev = _stirling_rows[-1]
                 i = len(_stirling_rows)

@@ -70,6 +70,11 @@ def _require_valid_model(m: MulticoloredModel) -> None:
         raise InvalidStructureError("model", report)
 
 
+def _require_nonnegative(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+
+
 def expand_model(m: MulticoloredModel) -> OrderingDescription:
     """Constrained model -> ordering description (color i <-> block size i)."""
     if not m.adjacency_constrained:
@@ -86,6 +91,7 @@ def expand_model(m: MulticoloredModel) -> OrderingDescription:
 
 def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_model; every kind must be finite with size <= k."""
+    _require_nonnegative(k)
     report = validate_description(d)
     if not report.ok:
         raise InvalidStructureError("description", report)
@@ -120,6 +126,7 @@ def expand_colored(m: MulticoloredModel) -> ColoredDescription:
 
 def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_colored."""
+    _require_nonnegative(k)
     report = validate_colored_description(d)
     if not report.ok:
         raise InvalidStructureError("colored description", report)

@@ -15,8 +15,8 @@ starts at one point, so it counts only the NONEMPTY constrained models:
 closed_form_I(k) + 1 == count_I(k). Both values are exposed on purpose; the
 recurrence value is the one matching the reference term lists.
 
-Sequence indexing conventions (also used by the CLI exports): I is listed from
-k=1, everything else from k=0.
+The reference term list of I starts at k=1, every other list at k=0; the CLI's
+route table (cli.ROUTES) records each sequence's first index beside its methods.
 
 All recurrences are memoized in tables grown on demand. Each recurrence is a
 binomial convolution s(n) = sum_{i<n} C(n, i) t(i) of an earlier term sequence
@@ -33,9 +33,9 @@ proper subset of the colors, and J's sum the unconstrained ones, so for k >= 1
     count_I(k) = s_T(k) + T(k) = 2 K1(k) + K2(k)
     count_L(k) = s_J(k) + J(k) = 2 J(k) - k J(k-1)
 
-are O(1) reads (both are 1 at k = 0). closed_form_I alone uses the memoized
-tables of combinatorics, so the recurrences and the formula that checks them
-share no table.
+are O(1) reads (both are 1 at k = 0). closed_form_I alone uses the primitives
+of combinatorics (the stdlib factorial and binomial, the memoized Stirling
+table), so the recurrences and the formula that checks them share no table.
 """
 
 from __future__ import annotations
@@ -188,30 +188,3 @@ def fubini(k: int) -> int:
     _require_nonnegative(k)
     _grow(_fubini_table, _fubini_diagonal, _fubini_lock, k, _fubini_entry)
     return _fubini_table[k]
-
-
-_SEQUENCE_FUNCTIONS = {
-    SequenceId.I: count_I,
-    SequenceId.L: count_L,
-    SequenceId.J_SURJECTIVE: j_surjective,
-    SequenceId.K1: k1,
-    SequenceId.K2: k2,
-    SequenceId.FUBINI: fubini,
-    SequenceId.I_CLOSED_NONEMPTY: closed_form_I,
-}
-
-# first index of the published term list for each sequence
-SEQUENCE_START = {
-    SequenceId.I: 1,
-    SequenceId.L: 0,
-    SequenceId.J_SURJECTIVE: 0,
-    SequenceId.K1: 0,
-    SequenceId.K2: 0,
-    SequenceId.FUBINI: 0,
-    SequenceId.I_CLOSED_NONEMPTY: 1,
-}
-
-
-def sequence_value(seq: SequenceId, k: int) -> int:
-    """Recurrence/closed-form value of the named sequence at index k."""
-    return _SEQUENCE_FUNCTIONS[seq](k)

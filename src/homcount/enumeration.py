@@ -11,9 +11,14 @@ color mask and shared by every table and every model (points are frozen).
 
 Counting never materializes models: it goes through homcount.kernel, which
 walks the same choice tree and splits the surjective models into S-first and
-R-first at its root. Streams are lazy: besides the current chain of at most k
-generator frames they hold only the move tables, 3^k entries for k colors,
-which is why they refuse k beyond kernel.MAX_K = 12.
+R-first at its root. check_cap is the brute-force cap every caller applies
+first: count_by_enumeration and surjective_first_point_split are the library's
+capped entry points to the walk, and each brute-force route of the CLI runs
+check_cap and then kernel.root_split.
+
+Streams are lazy: besides the current chain of at most k generator frames they
+hold only the move tables, 3^k entries for k colors, which is why they refuse
+k beyond kernel.MAX_K = 12.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ def brute_force_cap(override: int | None = None) -> int:
     return int(env) if env else DEFAULT_CAP
 
 
-def _check_cap(k: int, cap: int | None) -> None:
+def check_cap(k: int, cap: int | None) -> None:
+    """Refuse a brute-force request for k beyond the cap (`cap`, else
+    HOMCOUNT_CAP, else DEFAULT_CAP) with BruteForceCapError."""
     limit = brute_force_cap(cap)
     if k > limit:
         raise BruteForceCapError(k, limit)
@@ -128,27 +135,14 @@ def enumerate_surjective(k: int, constrained: bool = True) -> Iterator[Multicolo
 
 def enumerate_ordered_set_partitions(k: int, cap: int | None = None) -> Iterator[MulticoloredModel]:
     """All-S-point surjective models: the ordered set partitions of {1..k}."""
-    _check_cap(k, cap)
+    check_cap(k, cap)
     yield from _stream(k, False, True, False)
 
 
 def count_by_enumeration(k: int, constrained: bool = True, cap: int | None = None) -> int:
     """Exact number of models, by walking all of them (kernel-accelerated)."""
-    _check_cap(k, cap)
+    check_cap(k, cap)
     return kernel.count_models(k, constrained)
-
-
-def count_surjective_by_enumeration(
-    k: int, constrained: bool = True, cap: int | None = None
-) -> int:
-    """Exact number of models using all k colors, by walking all models."""
-    _check_cap(k, cap)
-    return kernel.count_surjective(k, constrained)
-
-
-def count_ordered_set_partitions_by_enumeration(k: int, cap: int | None = None) -> int:
-    _check_cap(k, cap)
-    return kernel.count_ordered_set_partitions(k)
 
 
 def surjective_first_point_split(
@@ -159,5 +153,5 @@ def surjective_first_point_split(
     The empty model (k=0) lands in the S-first slot, matching the recurrence
     base K1(0)=1, K2(0)=0.
     """
-    _check_cap(k, cap)
+    check_cap(k, cap)
     return kernel.root_split(k, constrained, True)

@@ -363,16 +363,25 @@ def _list(value, what: str) -> list:
     raise ValueError(f"{what} must be a list, got {value!r}")
 
 
-def _colors(value, what: str) -> list[int]:
+def _distinct(entries: frozenset, listed: list, what: str) -> frozenset:
+    """`entries`, built from `listed`, if building it merged no two entries."""
+    if len(entries) != len(listed):
+        raise ValueError(f"{what} repeats an entry: {listed!r}")
+    return entries
+
+
+def _colors(value, what: str) -> frozenset[int]:
     for c in _list(value, what):
         if type(c) is not int:
             raise ValueError(f"a color in {what} must be an integer, got {c!r}")
-    return value
+    return _distinct(frozenset(value), value, what)
 
 
 def model_from_dict(data: dict) -> MulticoloredModel:
     try:
         k = _int(data["k"], "k")
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got {k}")
         constrained = _bool(data["adjacency_constrained"], "adjacency_constrained")
         points: list[Point] = []
         for entry in _list(data["points"], "points"):
@@ -422,7 +431,8 @@ def description_from_dict(data: dict) -> OrderingDescription:
             if entry["type"] == "block":
                 segments.append(SingletonBlock(kind_from_json(entry["kind"])))
             elif entry["type"] == "shuffle":
-                segments.append(Shuffle(kind_from_json(k) for k in _list(entry["kinds"], "kinds")))
+                kinds = _list(entry["kinds"], "kinds")
+                segments.append(Shuffle(_distinct(frozenset(map(kind_from_json, kinds)), kinds, "kinds")))
             else:
                 raise ValueError(f"unknown segment type {entry['type']!r}")
     except (KeyError, TypeError) as exc:

@@ -13,6 +13,9 @@ The three counting series:
   denominator; its counts are count_L.
 * egf_fubini: 1/(2 - e^x); its counts are the ordered set partition numbers.
 
+The three series e^x + x - 1, 2 - x - e^x and 2 - e^x are each of the form
++-e^x + c0 + c1*x and come from one function, _exp_line.
+
 egf_H and egf_f deliberately take different construction routes (reciprocal
 vs composition), so the identity H = exp * f cross-checks both primitives.
 """
@@ -95,37 +98,28 @@ def ps_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
     return result
 
 
-def _denominator(order: int) -> TruncatedSeries:
-    # 2 - x - e^x: constant 1, then -2, then -1/j!
-    coeffs = [Fraction(1)]
-    if order >= 1:
-        coeffs.append(Fraction(-2))
-    for j in range(2, order + 1):
-        coeffs.append(Fraction(-1, factorial(j)))
+def _exp_line(sign: int, c0: int, c1: int, order: int) -> TruncatedSeries:
+    """sign*e^x + c0 + c1*x to the given order: coefficient j is sign/j!, plus
+    c0 at j = 0 and c1 at j = 1."""
+    coeffs = [Fraction(sign, factorial(j)) for j in range(order + 1)]
+    for j, c in zip(range(order + 1), (c0, c1)):
+        coeffs[j] += c
     return TruncatedSeries(coeffs)
 
 
 def egf_f(order: int) -> TruncatedSeries:
     """1/(2 - x - e^x): coefficient counts are the surjective model numbers."""
-    g1 = [Fraction(0)]  # e^x + x - 1
-    if order >= 1:
-        g1.append(Fraction(2))
-    for j in range(2, order + 1):
-        g1.append(Fraction(1, factorial(j)))
-    return ps_compose(ps_geometric(order), TruncatedSeries(g1))
+    return ps_compose(ps_geometric(order), _exp_line(1, -1, 1, order))  # 1/(1 - (e^x + x - 1))
 
 
 def egf_H(order: int) -> TruncatedSeries:
     """e^x / (2 - x - e^x): coefficient counts are the k-colored ordering numbers."""
-    return ps_mul(ps_exp(order), ps_reciprocal(_denominator(order)))
+    return ps_mul(ps_exp(order), ps_reciprocal(_exp_line(-1, 2, -1, order)))
 
 
 def egf_fubini(order: int) -> TruncatedSeries:
     """1/(2 - e^x): coefficient counts are the ordered set partition numbers."""
-    coeffs = [Fraction(1)]
-    for j in range(1, order + 1):
-        coeffs.append(Fraction(-1, factorial(j)))
-    return TruncatedSeries(ps_reciprocal(TruncatedSeries(coeffs)).coeffs)
+    return ps_reciprocal(_exp_line(-1, 2, 0, order))
 
 
 def egf_counts(s: TruncatedSeries, k: int) -> int:

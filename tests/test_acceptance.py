@@ -8,7 +8,7 @@ import itertools
 import math
 import time
 
-from homcount import asymptotics, correspondence, counting, enumeration, series
+from homcount import asymptotics, correspondence, counting, enumeration, kernel, series
 from homcount.combinatorics import binomial, stirling2
 from homcount.model import (
     FiniteColoredOrdering,
@@ -88,8 +88,8 @@ def test_criterion_5_egf_equivalence():
 
 def test_criterion_6_surjective_splits():
     ok = all(
-        enumeration.count_surjective_by_enumeration(k, True) == counting.k1(k) + counting.k2(k)
-        and enumeration.count_surjective_by_enumeration(k, False) == counting.j_surjective(k)
+        kernel.count_surjective(k, True) == counting.k1(k) + counting.k2(k)
+        and kernel.count_surjective(k, False) == counting.j_surjective(k)
         for k in range(7)
     )
     report(6, ok, "surjective counts = K1+K2 (constrained) and J (unconstrained) for k<=6")

@@ -1,18 +1,74 @@
 """End-to-end CLI behavior: outputs, exit codes, file formats, failure paths."""
 
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homcount import counting
-from homcount.cli import main
+from homcount import correspondence, counting, verify
+from homcount.cli import ROUTES, main
+from homcount.counting import SequenceId
+from homcount.enumeration import BruteForceCapError
+from homcount.model import ColoredDescription, ColorShuffle, OrderingDescription, Shuffle
+
+GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli.json"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_on_stdin(argv, text):
+    """main(argv) with `text` on stdin: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_default_routes():
+    def default(seq, k):
+        return next(iter(ROUTES[seq][1].values()))(k, None)
+
+    assert default(SequenceId.I, 5) == 5487
+    assert default(SequenceId.L, 6) == 131244
+    assert default(SequenceId.K1, 2) == 5
+    assert default(SequenceId.FUBINI, 4) == 75
+    assert default(SequenceId.I_CLOSED_NONEMPTY, 2) == 11
+
+
+def test_every_brute_force_route_applies_the_cap():
+    for seq, (_, routes) in ROUTES.items():
+        with pytest.raises(BruteForceCapError, match="cap of 3"):
+            routes["brute-force"](4, 3)
+
+
+def test_golden_commands_reproduce_their_bytes(monkeypatch):
+    # the command pool recorded for the benchmark's cli-session workload, replayed in process
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    commands = json.loads(GOLDEN_CLI.read_text())["commands"]
+    assert len(commands) == 162
+    mismatched = [
+        entry["argv"]
+        for entry in commands
+        if run_on_stdin(entry["argv"], entry["stdin"])[:2] != (entry["exit"], entry["stdout"])
+    ]
+    assert mismatched == []
 
 
 def test_count_recurrence(capsys):
@@ -178,6 +234,18 @@ def test_verify_detects_corrupted_recurrence(capsys, monkeypatch):
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert any("I-sequence reference terms" in line for line in failed)
     assert any("k=3" in line for line in failed)
+
+
+def test_round_trip_check_fails_on_an_invalid_expansion(monkeypatch):
+    invalid = {
+        "expand_model": lambda m: OrderingDescription([Shuffle([])]),
+        "expand_colored": lambda m: ColoredDescription([ColorShuffle([])]),
+    }
+    for name, expand in invalid.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(correspondence, name, expand)
+            results = {r.name: r for r in verify.run_checks(k_max=2)}
+        assert not results["round-trip bijection"].ok, name
 
 
 def test_export_b_file_exact_bytes(capsys):
@@ -354,3 +422,78 @@ def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc):
     assert code == 2
     assert out == ""
     assert err and "Traceback" not in err
+
+
+# input defects that once ended in a traceback (deep nesting) or were silently
+# accepted (negative k, entries merged by a set), one per row
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["expand"], "[" * 100000 + "]" * 100000),
+        (["contract", "--k", "-5"], json.dumps({"segments": []})),
+        (["contract", "--k", "-5", "--unconstrained"], json.dumps({"segments": []})),
+        (["expand"], json.dumps(_model(k=-3, points=[]))),
+        (["expand"], json.dumps(_model(points=[{"type": "S", "colors": [1, 1]}]))),
+        (["contract", "--k", "3", "--unconstrained"],
+         json.dumps({"segments": [{"type": "shuffle", "colors": [1, 1]}]})),
+        (["contract", "--k", "3"],
+         json.dumps({"segments": [{"type": "shuffle", "kinds": [{"finite": 1}, {"finite": 1}]}]})),
+    ],
+    ids=["deep-nesting", "contract-negative-k", "contract-colored-negative-k", "expand-negative-k",
+         "repeated-color", "repeated-shuffle-color", "repeated-kind"],
+)
+def test_malformed_inputs_are_usage_errors(argv, text):
+    code, out, err = run_on_stdin(argv, text)
+    assert code == 2
+    assert out == ""
+    assert err and "Traceback" not in err
+
+
+_WIRE_KEYS = ["k", "adjacency_constrained", "points", "type", "color", "colors", "segments", "kind", "kinds",
+              "finite"]
+_json_leaves = st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.sampled_from(
+    ["R", "S", "block", "shuffle", "omega", "omega_star", "zeta", ""]
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_WIRE_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=24,
+)
+# documents shaped like the three wire formats, with a number that may be of any JSON type
+_num = st.integers(-1, 5) | _json_leaves
+_nums = st.lists(_num, max_size=3) | _json_values
+
+
+def _tagged(tag, field, value):
+    return st.fixed_dictionaries({"type": st.just(tag), field: value})
+
+
+_kind = st.fixed_dictionaries({"finite": _num}) | st.sampled_from(["omega", "omega_star", "zeta"])
+_wire_documents = st.one_of(
+    _json_values,
+    st.fixed_dictionaries({
+        "k": _num,
+        "adjacency_constrained": st.booleans(),
+        "points": st.lists(_tagged("R", "color", _num) | _tagged("S", "colors", _nums), max_size=4),
+    }),
+    st.fixed_dictionaries({"segments": st.lists(
+        _tagged("block", "kind", _kind) | _tagged("shuffle", "kinds", st.lists(_kind, max_size=3)), max_size=4
+    )}),
+    st.fixed_dictionaries({"segments": st.lists(
+        _tagged("block", "color", _num) | _tagged("shuffle", "colors", _nums), max_size=4
+    )}),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    doc=_wire_documents,
+    argv=st.sampled_from([["expand"], ["contract", "--k"], ["contract", "--unconstrained", "--k"]]),
+    k=st.integers(-2, 6),
+)
+def test_random_json_input_exits_cleanly(doc, argv, k):
+    argv = argv + [str(k)] if argv[0] == "contract" else argv
+    code, _, err = run_on_stdin(argv, json.dumps(doc))
+    assert code in (0, 2)
+    assert "Traceback" not in err

@@ -10,10 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from homcount import counting
+from homcount import counting, kernel
 from homcount.combinatorics import binomial
 from homcount.counting import (
-    SequenceId,
     closed_form_I,
     count_I,
     count_L,
@@ -21,12 +20,9 @@ from homcount.counting import (
     j_surjective,
     k1,
     k2,
-    sequence_value,
 )
 from homcount.enumeration import (
     count_by_enumeration,
-    count_ordered_set_partitions_by_enumeration,
-    count_surjective_by_enumeration,
     enumerate_models,
     surjective_first_point_split,
 )
@@ -96,12 +92,12 @@ def test_count_L_equals_brute_force():
 
 def test_j_surjective_equals_brute_force():
     for k in range(7):
-        assert j_surjective(k) == count_surjective_by_enumeration(k, False)
+        assert j_surjective(k) == kernel.count_surjective(k, False)
 
 
 def test_k_split_equals_brute_force():
     for k in range(7):
-        assert k1(k) + k2(k) == count_surjective_by_enumeration(k, True)
+        assert k1(k) + k2(k) == kernel.count_surjective(k, True)
     for k in range(9):
         s_first, r_first = surjective_first_point_split(k, True, cap=8)
         assert (s_first, r_first) == (k1(k), k2(k))
@@ -109,7 +105,7 @@ def test_k_split_equals_brute_force():
 
 def test_fubini_equals_brute_force():
     for k in range(8):
-        assert fubini(k) == count_ordered_set_partitions_by_enumeration(k)
+        assert fubini(k) == kernel.count_ordered_set_partitions(k)
 
 
 def test_binomial_transform_of_k():
@@ -190,14 +186,6 @@ def test_table_growth_memory_stays_linear():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert int(out.stdout) < 4_000_000
-
-
-def test_sequence_dispatch():
-    assert sequence_value(SequenceId.I, 5) == 5487
-    assert sequence_value(SequenceId.L, 6) == 131244
-    assert sequence_value(SequenceId.K1, 2) == 5
-    assert sequence_value(SequenceId.FUBINI, 4) == 75
-    assert sequence_value(SequenceId.I_CLOSED_NONEMPTY, 2) == 11
 
 
 def test_negative_index_rejected():

@@ -16,8 +16,6 @@ from homcount.combinatorics import binomial
 from homcount.enumeration import (
     BruteForceCapError,
     count_by_enumeration,
-    count_ordered_set_partitions_by_enumeration,
-    count_surjective_by_enumeration,
     enumerate_models,
     enumerate_ordered_set_partitions,
     enumerate_surjective,
@@ -121,7 +119,7 @@ def test_surjective_examples():
 def test_surjective_stream_matches_kernel_count():
     for k in range(5):
         for constrained in (True, False):
-            assert count_surjective_by_enumeration(k, constrained) == sum(
+            assert kernel.count_surjective(k, constrained) == sum(
                 1 for _ in enumerate_surjective(k, constrained)
             )
 
@@ -132,7 +130,7 @@ def test_partition_by_used_color_set():
         for constrained in (True, False):
             total = count_by_enumeration(k, constrained)
             assert total == sum(
-                binomial(k, i) * count_surjective_by_enumeration(i, constrained)
+                binomial(k, i) * kernel.count_surjective(i, constrained)
                 for i in range(k + 1)
             )
 
@@ -170,7 +168,7 @@ def test_ordered_set_partitions_are_all_s_and_surjective():
 
 def test_ordered_set_partition_count_matches_stream():
     for k in range(6):
-        assert count_ordered_set_partitions_by_enumeration(k) == sum(
+        assert kernel.count_ordered_set_partitions(k) == sum(
             1 for _ in enumerate_ordered_set_partitions(k)
         )
 
