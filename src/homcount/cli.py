@@ -213,16 +213,7 @@ def cmd_export(args) -> int:
     if args.k_max < start:
         print(f"sequence {seq.value} starts at k={start}", file=sys.stderr)
         return USAGE_ERROR
-    payload = _export_lines(seq, args.k_max, args.format)
-    if args.output == "-":
-        sys.stdout.write(payload)
-        return 0
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        print(f"cannot write {args.output}: {exc}", file=sys.stderr)
-        return FAILURE
+    _write(args.output, _export_lines(seq, args.k_max, args.format))
     return 0
 
 
@@ -273,13 +264,17 @@ def _read_json(path: str) -> dict:
         raise ValueError("JSON input is nested too deeply") from None
 
 
-def _write_json(path: str, payload: dict) -> None:
-    blob = json.dumps(payload) + "\n"
+def _write(path: str, text: str) -> None:
+    """`text` to stdout (path -) or to the file at `path`; a path that cannot be
+    written is an OSError naming it, which main reports with exit 1."""
     if path == "-":
-        sys.stdout.write(blob)
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(blob)
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_expand(args) -> int:
@@ -288,7 +283,7 @@ def cmd_expand(args) -> int:
         payload = description_to_dict(expand_model(model))
     else:
         payload = colored_description_to_dict(expand_colored(model))
-    _write_json(args.output, payload)
+    _write(args.output, json.dumps(payload) + "\n")
     return 0
 
 
@@ -298,7 +293,7 @@ def cmd_contract(args) -> int:
         model = contract_colored(colored_description_from_dict(data), args.k)
     else:
         model = contract_description(description_from_dict(data), args.k)
-    _write_json(args.output, model_to_dict(model))
+    _write(args.output, json.dumps(model_to_dict(model)) + "\n")
     return 0
 
 

@@ -46,10 +46,20 @@ class BruteForceCapError(ValueError):
 
 
 def brute_force_cap(override: int | None = None) -> int:
+    """`override`, else HOMCOUNT_CAP, else DEFAULT_CAP; a HOMCOUNT_CAP that is not a
+    nonnegative integer is refused with a ValueError naming it."""
     if override is not None:
         return override
     env = os.environ.get("HOMCOUNT_CAP")
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"HOMCOUNT_CAP must be a nonnegative integer, got {env!r}")
 
 
 def check_cap(k: int, cap: int | None) -> None:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcount import correspondence, counting, verify
+from homcount import correspondence, counting, kernel, verify
 from homcount.cli import ROUTES, main
 from homcount.counting import SequenceId
 from homcount.enumeration import BruteForceCapError
@@ -160,6 +160,18 @@ def test_count_cap_override(capsys):
     assert "14016774" in out
 
 
+@pytest.mark.parametrize("value", ["abc", "-3"])
+@pytest.mark.parametrize(
+    "argv", [["count", "--sequence", "I", "--k", "3", "--method", "brute-force"], ["verify", "--k-max", "2"]]
+)
+def test_malformed_cap_env_is_named(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("HOMCOUNT_CAP", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"HOMCOUNT_CAP must be a nonnegative integer, got {value!r}\n"
+
+
 def test_count_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("HOMCOUNT_CAP", "2")
     code, _, err = run(capsys, "count", "--sequence", "I", "--k", "3", "--method", "brute-force")
@@ -236,6 +248,24 @@ def test_verify_detects_corrupted_recurrence(capsys, monkeypatch):
     assert any("k=3" in line for line in failed)
 
 
+def test_verify_reports_a_raising_check_and_goes_on(capsys, monkeypatch):
+    def broken(k, **kwargs):
+        raise RuntimeError("walk broke")
+
+    monkeypatch.setattr(kernel, "count_ordered_set_partitions", broken)
+    code, out, _ = run(capsys, "verify", "--k-max", "4")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert "ordered set partition counts" in failed[0]
+    assert failed[0].endswith("raised RuntimeError: walk broke")
+    names = [r.name for r in verify.run_checks(k_max=4)]
+    after = names[names.index("ordered set partition counts") + 1:]
+    assert after and all(any(name in line for line in lines) for name in after)
+    assert lines[-1] == f"{len(names) - 1}/{len(names)} checks passed"
+
+
 def test_round_trip_check_fails_on_an_invalid_expansion(monkeypatch):
     invalid = {
         "expand_model": lambda m: OrderingDescription([Shuffle([])]),
@@ -290,6 +320,16 @@ def test_export_unwritable_destination(tmp_path, capsys):
     )
     assert code == 1
     assert "cannot write" in err
+
+
+def test_expand_unwritable_destination(tmp_path, capsys):
+    src = tmp_path / "model.json"
+    src.write_text(json.dumps(_model()))
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "expand", "--input", str(src), "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cannot write {target}: ")
 
 
 def test_export_below_sequence_start(capsys):
@@ -438,9 +478,12 @@ def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc):
          json.dumps({"segments": [{"type": "shuffle", "colors": [1, 1]}]})),
         (["contract", "--k", "3"],
          json.dumps({"segments": [{"type": "shuffle", "kinds": [{"finite": 1}, {"finite": 1}]}]})),
+        (["verify", "--terms", "-1"], ""),
+        (["verify", "--cap", "-3"], ""),
     ],
     ids=["deep-nesting", "contract-negative-k", "contract-colored-negative-k", "expand-negative-k",
-         "repeated-color", "repeated-shuffle-color", "repeated-kind"],
+         "repeated-color", "repeated-shuffle-color", "repeated-kind", "verify-negative-terms",
+         "verify-negative-cap"],
 )
 def test_malformed_inputs_are_usage_errors(argv, text):
     code, out, err = run_on_stdin(argv, text)
