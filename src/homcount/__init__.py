@@ -7,98 +7,84 @@ descriptions (sequences of singleton blocks and shuffles). Counting formulas,
 generating functions, asymptotics, and brute-force enumeration are
 cross-validated against each other; everything except the asymptotics module
 is exact arbitrary-precision arithmetic.
+
+Importing the package loads none of its modules. Each name in __all__, and
+each submodule, is imported on first attribute access (PEP 562), so the CLI
+and scripts that use one layer do not pay for the others.
 """
 
-from homcount.combinatorics import BigCount, ExactRational, binomial, factorial, stirling2
-from homcount.correspondence import (
-    classify_cnm,
-    contract_colored,
-    contract_description,
-    expand_colored,
-    expand_model,
-    is_finite_homogeneous,
-)
-from homcount.counting import (
-    SequenceId,
-    closed_form_I,
-    count_I,
-    count_L,
-    fubini,
-    j_surjective,
-    k1,
-    k2,
-)
-from homcount.enumeration import (
-    BruteForceCapError,
-    count_by_enumeration,
-    enumerate_models,
-    enumerate_ordered_set_partitions,
-    enumerate_surjective,
-)
-from homcount.model import (
-    ColoredDescription,
-    ColorPoint,
-    ColorShuffle,
-    Finite,
-    FiniteColoredOrdering,
-    InfiniteKind,
-    MulticoloredModel,
-    OMEGA,
-    OMEGA_STAR,
-    OrderingDescription,
-    RPoint,
-    SPoint,
-    Shuffle,
-    SingletonBlock,
-    ZETA,
-    canonical_compare,
-    validate_description,
-    validate_model,
-)
+from importlib import import_module
 
-__all__ = [
-    "BigCount",
-    "ExactRational",
-    "binomial",
-    "factorial",
-    "stirling2",
-    "SequenceId",
-    "count_I",
-    "closed_form_I",
-    "count_L",
-    "j_surjective",
-    "k1",
-    "k2",
-    "fubini",
-    "BruteForceCapError",
-    "count_by_enumeration",
-    "enumerate_models",
-    "enumerate_surjective",
-    "enumerate_ordered_set_partitions",
-    "expand_model",
-    "contract_description",
-    "expand_colored",
-    "contract_colored",
-    "classify_cnm",
-    "is_finite_homogeneous",
-    "MulticoloredModel",
-    "RPoint",
-    "SPoint",
-    "OrderingDescription",
-    "SingletonBlock",
-    "Shuffle",
-    "Finite",
-    "InfiniteKind",
-    "OMEGA",
-    "OMEGA_STAR",
-    "ZETA",
-    "ColoredDescription",
-    "ColorPoint",
-    "ColorShuffle",
-    "FiniteColoredOrdering",
-    "validate_model",
-    "validate_description",
-    "canonical_compare",
-]
+# defining module -> the names of __all__ it provides, in __all__ order
+_EXPORTS = {
+    "combinatorics": ["BigCount", "ExactRational", "binomial", "factorial", "stirling2"],
+    "counting": ["SequenceId", "count_I", "closed_form_I", "count_L", "j_surjective", "k1", "k2", "fubini"],
+    "kernel": ["BruteForceCapError"],
+    "enumeration": [
+        "count_by_enumeration",
+        "enumerate_models",
+        "enumerate_surjective",
+        "enumerate_ordered_set_partitions",
+    ],
+    "correspondence": [
+        "expand_model",
+        "contract_description",
+        "expand_colored",
+        "contract_colored",
+        "classify_cnm",
+        "is_finite_homogeneous",
+    ],
+    "model": [
+        "MulticoloredModel",
+        "RPoint",
+        "SPoint",
+        "OrderingDescription",
+        "SingletonBlock",
+        "Shuffle",
+        "Finite",
+        "InfiniteKind",
+        "OMEGA",
+        "OMEGA_STAR",
+        "ZETA",
+        "ColoredDescription",
+        "ColorPoint",
+        "ColorShuffle",
+        "FiniteColoredOrdering",
+        "validate_model",
+        "validate_description",
+        "canonical_compare",
+    ],
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({
+    "_countwalk_py",
+    "asymptotics",
+    "cli",
+    "combinatorics",
+    "correspondence",
+    "counting",
+    "enumeration",
+    "kernel",
+    "model",
+    "series",
+    "verify",
+})
+
+__all__ = list(_ORIGIN)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORIGIN.keys() | _SUBMODULES)

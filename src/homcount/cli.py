@@ -10,7 +10,13 @@ ROUTES is the one table of counted sequences: for each sequence, the first
 index of its term list and its methods, each a function value(k, cap) with the
 default method first. `count` checks the method and the index against it and
 `export` lists the default route. Each brute-force route applies the cap
-(enumeration.check_cap) and then runs one kernel.root_split walk.
+(kernel.check_cap) and then runs one kernel.root_split walk.
+
+Each command imports only the layers it runs. At module level this file loads
+counting and kernel, the two layers ROUTES is built from; series, verify,
+asymptotics, model, enumeration and correspondence are imported inside the
+commands and routes that use them, so `--help`, a recurrence count or a
+brute-force count starts without them.
 
 Computed values are printed in full, however many digits they have; the
 interpreter's int/str digit limit still applies to numbers parsed from argv
@@ -27,17 +33,8 @@ from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 
-from homcount import asymptotics, counting, enumeration, kernel, series, verify
-from homcount.correspondence import contract_colored, contract_description, expand_colored, expand_model
+from homcount import counting, kernel
 from homcount.counting import SequenceId
-from homcount.model import (
-    colored_description_from_dict,
-    colored_description_to_dict,
-    description_from_dict,
-    description_to_dict,
-    model_from_dict,
-    model_to_dict,
-)
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -50,16 +47,22 @@ def _exact(fn: Callable[[int], int]) -> Route:
     return lambda k, cap: fn(k)
 
 
-def _egf(build: Callable) -> Route:
-    """k! times coefficient k of the series built to order k."""
-    return lambda k, cap: series.egf_counts(build(k), k)
+def _egf(builder: str) -> Route:
+    """k! times coefficient k of the series `series.<builder>` built to order k."""
+
+    def value(k: int, cap: int | None) -> int:
+        from homcount import series
+
+        return series.egf_counts(getattr(series, builder)(k), k)
+
+    return value
 
 
 def _walk(pick: Callable, constrained: bool, surjective: bool, r_points: bool = True) -> Route:
     """The cap check, then one walk; `pick` reduces its (S-first, R-first) split."""
 
     def value(k: int, cap: int | None) -> int:
-        enumeration.check_cap(k, cap)
+        kernel.check_cap(k, cap)
         return pick(kernel.root_split(k, constrained, surjective, r_points))
 
     return value
@@ -69,13 +72,13 @@ def _walk(pick: Callable, constrained: bool, surjective: bool, r_points: bool = 
 ROUTES: dict[SequenceId, tuple[int, dict[str, Route]]] = {
     SequenceId.I: (1, {"recurrence": _exact(counting.count_I), "closed-form": _exact(counting.closed_form_I),
                        "brute-force": _walk(sum, True, False)}),
-    SequenceId.L: (0, {"recurrence": _exact(counting.count_L), "egf": _egf(series.egf_H),
+    SequenceId.L: (0, {"recurrence": _exact(counting.count_L), "egf": _egf("egf_H"),
                        "brute-force": _walk(sum, False, False)}),
-    SequenceId.J_SURJECTIVE: (0, {"recurrence": _exact(counting.j_surjective), "egf": _egf(series.egf_f),
+    SequenceId.J_SURJECTIVE: (0, {"recurrence": _exact(counting.j_surjective), "egf": _egf("egf_f"),
                                   "brute-force": _walk(sum, False, True)}),
     SequenceId.K1: (0, {"recurrence": _exact(counting.k1), "brute-force": _walk(itemgetter(0), True, True)}),
     SequenceId.K2: (0, {"recurrence": _exact(counting.k2), "brute-force": _walk(itemgetter(1), True, True)}),
-    SequenceId.FUBINI: (0, {"recurrence": _exact(counting.fubini), "egf": _egf(series.egf_fubini),
+    SequenceId.FUBINI: (0, {"recurrence": _exact(counting.fubini), "egf": _egf("egf_fubini"),
                             "brute-force": _walk(sum, False, True, r_points=False)}),
     SequenceId.I_CLOSED_NONEMPTY: (1, {"closed-form": _exact(counting.closed_form_I),
                                        "brute-force": _walk(lambda split: sum(split) - 1, True, False)}),
@@ -178,13 +181,18 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    enumeration.check_cap(args.k, args.cap)
+    kernel.check_cap(args.k, args.cap)
+    from homcount import enumeration
+    from homcount.model import model_to_dict
+
     for m in enumeration.enumerate_models(args.k, not args.unconstrained):
         print(json.dumps(model_to_dict(m)))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from homcount import verify
+
     results = verify.run_checks(k_max=args.k_max, series_order=args.terms, cap=args.cap)
     width = max(len(r.name) for r in results)
     failures = 0
@@ -221,6 +229,8 @@ def cmd_series(args) -> int:
     if args.terms < 0:
         print(f"--terms must be nonnegative, got {args.terms}", file=sys.stderr)
         return USAGE_ERROR
+    from homcount import series
+
     builders = {"H": series.egf_H, "f": series.egf_f, "fubini": series.egf_fubini}
     s = builders[args.egf](args.terms)
     rows = [
@@ -235,6 +245,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
+    from homcount import asymptotics
+
     if args.asymptotic_command == "constants":
         c = asymptotics.constants()
         for label, value in [
@@ -255,6 +267,8 @@ def cmd_asymptotic(args) -> int:
 
 
 def _read_json(path: str) -> dict:
+    """The JSON document on stdin (path -) or in the file at `path`; a path that
+    cannot be read is an OSError naming it, which main reports with exit 1."""
     try:
         if path == "-":
             return json.load(sys.stdin)
@@ -262,6 +276,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -278,6 +294,9 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_expand(args) -> int:
+    from homcount.correspondence import expand_colored, expand_model
+    from homcount.model import colored_description_to_dict, description_to_dict, model_from_dict
+
     model = model_from_dict(_read_json(args.input))
     if model.adjacency_constrained:
         payload = description_to_dict(expand_model(model))
@@ -288,6 +307,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_contract(args) -> int:
+    from homcount.correspondence import contract_colored, contract_description
+    from homcount.model import colored_description_from_dict, description_from_dict, model_to_dict
+
     data = _read_json(args.input)
     if args.unconstrained:
         model = contract_colored(colored_description_from_dict(data), args.k)

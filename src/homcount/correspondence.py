@@ -25,7 +25,7 @@ import itertools
 import math
 from typing import Union
 
-from homcount.enumeration import BruteForceCapError
+from homcount.kernel import BruteForceCapError
 from homcount.model import (
     BlockKind,
     ColoredDescription,

@@ -11,10 +11,10 @@ color mask and shared by every table and every model (points are frozen).
 
 Counting never materializes models: it goes through homcount.kernel, which
 walks the same choice tree and splits the surjective models into S-first and
-R-first at its root. check_cap is the brute-force cap every caller applies
-first: count_by_enumeration and surjective_first_point_split are the library's
-capped entry points to the walk, and each brute-force route of the CLI runs
-check_cap and then kernel.root_split.
+R-first at its root. count_by_enumeration, surjective_first_point_split and
+enumerate_ordered_set_partitions are the library's capped entry points: each
+applies kernel.check_cap first. The cap (DEFAULT_CAP, BruteForceCapError,
+brute_force_cap, check_cap) lives in kernel and is importable from here too.
 
 Streams are lazy: besides the current chain of at most k generator frames they
 hold only the move tables, 3^k entries for k colors, which is why they refuse
@@ -23,52 +23,12 @@ k beyond kernel.MAX_K = 12.
 
 from __future__ import annotations
 
-import os
 from functools import cache
 from typing import Iterator
 
 from homcount import kernel
+from homcount.kernel import DEFAULT_CAP, BruteForceCapError, brute_force_cap, check_cap  # noqa: F401
 from homcount.model import MulticoloredModel, RPoint, SPoint
-
-DEFAULT_CAP = 7
-
-
-class BruteForceCapError(ValueError):
-    """Raised when a brute-force request exceeds the configured cap."""
-
-    def __init__(self, k: int, cap: int):
-        self.k = k
-        self.cap = cap
-        super().__init__(
-            f"brute force at k={k} exceeds the cap of {cap}; "
-            f"raise it with --cap or HOMCOUNT_CAP if you really mean it"
-        )
-
-
-def brute_force_cap(override: int | None = None) -> int:
-    """`override`, else HOMCOUNT_CAP, else DEFAULT_CAP; a HOMCOUNT_CAP that is not a
-    nonnegative integer is refused with a ValueError naming it."""
-    if override is not None:
-        return override
-    env = os.environ.get("HOMCOUNT_CAP")
-    if not env:
-        return DEFAULT_CAP
-    try:
-        cap = int(env)
-        if cap >= 0:
-            return cap
-    except ValueError:
-        pass
-    raise ValueError(f"HOMCOUNT_CAP must be a nonnegative integer, got {env!r}")
-
-
-def check_cap(k: int, cap: int | None) -> None:
-    """Refuse a brute-force request for k beyond the cap (`cap`, else
-    HOMCOUNT_CAP, else DEFAULT_CAP) with BruteForceCapError."""
-    limit = brute_force_cap(cap)
-    if k > limit:
-        raise BruteForceCapError(k, limit)
-
 
 def _lex_subsets(mask: int) -> Iterator[int]:
     """Nonempty submasks of `mask`, in lexicographic order of their sorted colors."""

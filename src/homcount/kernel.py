@@ -14,10 +14,17 @@ so no model's count is taken from another model's.
 The move tables hold one entry per (mask, child) pair, 3^k in all: at the
 bound MAX_K = 12 that is about 19 MB, and a walk at k=12 could not finish
 anyway (I(10) is already about 4.9e9 models).
+
+Two bounds guard the brute-force layer. check_k refuses k outside 0..MAX_K,
+where no move table could be built; check_cap refuses k beyond the brute-force
+cap (an explicit cap, else HOMCOUNT_CAP, else DEFAULT_CAP = 7), which every
+capped entry point applies before it walks. Both live here, so the CLI's
+brute-force routes load no other module.
 """
 
 from __future__ import annotations
 
+import os
 from functools import cache
 
 BACKEND = "python"  # the only backend; the benchmark records it with each run
@@ -31,6 +38,49 @@ def check_k(k: int) -> None:
         raise ValueError(f"color count must be nonnegative, got {k}")
     if k > MAX_K:
         raise ValueError(f"brute force not supported beyond k={MAX_K}, got {k}")
+
+
+DEFAULT_CAP = 7
+
+
+class BruteForceCapError(ValueError):
+    """Raised when a brute-force request exceeds the configured cap."""
+
+    def __init__(self, k: int, cap: int):
+        self.k = k
+        self.cap = cap
+        super().__init__(
+            f"brute force at k={k} exceeds the cap of {cap}; "
+            f"raise it with --cap or HOMCOUNT_CAP if you really mean it"
+        )
+
+
+def brute_force_cap(override: int | None = None) -> int:
+    """`override`, else HOMCOUNT_CAP, else DEFAULT_CAP; a negative `override` or a
+    HOMCOUNT_CAP that is not a nonnegative integer is refused with a ValueError
+    naming it."""
+    if override is not None:
+        if override < 0:
+            raise ValueError(f"cap must be nonnegative, got {override}")
+        return override
+    env = os.environ.get("HOMCOUNT_CAP")
+    if not env:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"HOMCOUNT_CAP must be a nonnegative integer, got {env!r}")
+
+
+def check_cap(k: int, cap: int | None) -> None:
+    """Refuse a brute-force request for k beyond the cap (`cap`, else
+    HOMCOUNT_CAP, else DEFAULT_CAP) with BruteForceCapError."""
+    limit = brute_force_cap(cap)
+    if k > limit:
+        raise BruteForceCapError(k, limit)
 
 
 def _fold(rests) -> tuple[int, int, tuple[int, ...]]:

@@ -180,11 +180,11 @@ def _finite_homogeneity():
 
 
 def run_checks(k_max: int = 25, series_order: int = 25, cap: int | None = None) -> list[CheckResult]:
-    for arg, value in (("k_max", k_max), ("series_order", series_order), ("cap", cap)):
-        if value is not None and value < 0:
+    for arg, value in (("k_max", k_max), ("series_order", series_order)):
+        if value < 0:
             raise ValueError(f"{arg} must be nonnegative, got {value}")
     # every walk below stays at k <= brute_limit, so it calls the kernel without a cap check
-    brute_limit = min(k_max, enumeration.brute_force_cap(cap))
+    brute_limit = min(k_max, kernel.brute_force_cap(cap))
     i_terms, l_terms = range(1, min(13, k_max) + 1), range(min(12, k_max) + 1)
     walks, splits = range(min(7, brute_limit) + 1), range(min(6, brute_limit) + 1)
     egf_top = min(series_order, k_max)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from homcount import correspondence, counting, kernel, verify
 from homcount.cli import ROUTES, main
 from homcount.counting import SequenceId
-from homcount.enumeration import BruteForceCapError
+from homcount.kernel import BruteForceCapError
 from homcount.model import ColoredDescription, ColorShuffle, OrderingDescription, Shuffle
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli.json"
@@ -69,6 +71,39 @@ def test_golden_commands_reproduce_their_bytes(monkeypatch):
         if run_on_stdin(entry["argv"], entry["stdin"])[:2] != (entry["exit"], entry["stdout"])
     ]
     assert mismatched == []
+
+
+# run `python -m homcount <argv>` in a fresh interpreter, then report its exit code
+# and the package modules it imported, as the last line of stderr
+_COLD_RUN = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('homcount', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('homcount.')), file=sys.stderr)\n"
+)
+_LAYERS = ("model", "enumeration", "correspondence", "series", "asymptotics", "verify")
+
+
+@pytest.mark.parametrize(
+    "argv,layers",
+    [
+        (["--help"], set()),
+        (["count", "--sequence", "I", "--k", "3"], set()),
+        (["export", "--sequence", "I", "--k-max", "5", "--format", "csv"], set()),
+        (["count", "--sequence", "L", "--k", "4", "--method", "brute-force"], set()),
+        (["series", "--terms", "4"], {"series"}),
+    ],
+    ids=["help", "count", "export", "count-brute-force", "series"],
+)
+def test_commands_import_only_the_layers_they_run(argv, layers):
+    src = str(Path(counting.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _COLD_RUN, *argv], env=env, capture_output=True, text=True)
+    code, *loaded = out.stderr.splitlines()[-1].split()
+    assert code == "0"
+    assert {layer for layer in _LAYERS if f"homcount.{layer}" in loaded} == layers
 
 
 def test_count_recurrence(capsys):
@@ -332,6 +367,21 @@ def test_expand_unwritable_destination(tmp_path, capsys):
     assert err.startswith(f"cannot write {target}: ")
 
 
+def test_contract_missing_input(tmp_path, capsys):
+    src = tmp_path / "missing.json"
+    code, out, err = run(capsys, "contract", "--k", "3", "--unconstrained", "--input", str(src))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cannot read {src}: ")
+
+
+def test_expand_directory_input(tmp_path, capsys):
+    code, out, err = run(capsys, "expand", "--input", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cannot read {tmp_path}: ")
+
+
 def test_export_below_sequence_start(capsys):
     code, _, err = run(capsys, "export", "--sequence", "I", "--k-max", "0", "--format", "csv")
     assert code == 2
@@ -480,10 +530,12 @@ def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc):
          json.dumps({"segments": [{"type": "shuffle", "kinds": [{"finite": 1}, {"finite": 1}]}]})),
         (["verify", "--terms", "-1"], ""),
         (["verify", "--cap", "-3"], ""),
+        (["count", "--sequence", "L", "--k", "0", "--method", "brute-force", "--cap", "-1"], ""),
+        (["enumerate", "--k", "0", "--cap", "-2"], ""),
     ],
     ids=["deep-nesting", "contract-negative-k", "contract-colored-negative-k", "expand-negative-k",
          "repeated-color", "repeated-shuffle-color", "repeated-kind", "verify-negative-terms",
-         "verify-negative-cap"],
+         "verify-negative-cap", "count-negative-cap", "enumerate-negative-cap"],
 )
 def test_malformed_inputs_are_usage_errors(argv, text):
     code, out, err = run_on_stdin(argv, text)

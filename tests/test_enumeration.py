@@ -98,6 +98,10 @@ def test_cap_refusal_names_the_cap():
         count_by_enumeration(8, True)
     # explicit override opens the door
     assert count_by_enumeration(8, True, cap=8) == 14016774
+    # a negative cap is refused by name, not as a cap that every k exceeds
+    with pytest.raises(ValueError, match="^cap must be nonnegative, got -1$") as exc:
+        surjective_first_point_split(0, cap=-1)
+    assert not isinstance(exc.value, BruteForceCapError)
 
 
 def test_cap_env_override(monkeypatch):
