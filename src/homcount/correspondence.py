@@ -3,9 +3,11 @@
 A constrained model expands pointwise into an ordering description: an R-point
 of color i becomes a singleton block of size i, an S-point with color set A
 becomes a shuffle of the blocks sized by A. An unconstrained model expands the
-same way into a colored description (points and shuffles of colors, no
-adjacency rules). Both directions are pure re-taggings, so contraction is the
-exact inverse.
+same way into a colored description, which holds the model's own points (no
+adjacency rules, no k). Both directions are pure re-taggings, the colored one
+literally so, and contraction is the exact inverse. Contraction names the
+first out-of-range label in canonical order (segments in order, kinds by
+kind_key, colors ascending), so the message is the same on every run.
 
 classify_cnm decides whether a description stays homogeneous when the language
 keeps predicates for n successors, m predecessors, and distances below n+m:
@@ -29,11 +31,8 @@ from homcount.kernel import BruteForceCapError
 from homcount.model import (
     BlockKind,
     ColoredDescription,
-    ColorPoint,
-    ColorShuffle,
     Finite,
     FiniteColoredOrdering,
-    InfiniteKind,
     MulticoloredModel,
     OMEGA,
     OMEGA_STAR,
@@ -45,6 +44,7 @@ from homcount.model import (
     SPoint,
     ValidationReport,
     ZETA,
+    kind_key,
     validate_colored_description,
     validate_description,
     validate_model,
@@ -64,10 +64,9 @@ class InvalidStructureError(ValueError):
         super().__init__(f"invalid {what}: {first.axiom}: {first.message}")
 
 
-def _require_valid_model(m: MulticoloredModel) -> None:
-    report = validate_model(m)
+def _require(report: ValidationReport, what: str) -> None:
     if not report.ok:
-        raise InvalidStructureError("model", report)
+        raise InvalidStructureError(what, report)
 
 
 def _require_nonnegative(k: int) -> None:
@@ -79,7 +78,7 @@ def expand_model(m: MulticoloredModel) -> OrderingDescription:
     """Constrained model -> ordering description (color i <-> block size i)."""
     if not m.adjacency_constrained:
         raise ValueError("expand_model expects an adjacency-constrained model")
-    _require_valid_model(m)
+    _require(validate_model(m), "model")
     segments: list[Segment] = []
     for p in m.points:
         if isinstance(p, RPoint):
@@ -92,14 +91,15 @@ def expand_model(m: MulticoloredModel) -> OrderingDescription:
 def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_model; every kind must be finite with size <= k."""
     _require_nonnegative(k)
-    report = validate_description(d)
-    if not report.ok:
-        raise InvalidStructureError("description", report)
+    _require(validate_description(d), "description")
     points = []
     for seg in d.segments:
         kinds = [seg.kind] if isinstance(seg, SingletonBlock) else seg.kinds
         for kind in kinds:
             if not isinstance(kind, Finite) or kind.size > k:
+                # name the first offender in canonical order; sorting every shuffle up front
+                # would cost the valid path a key call per kind
+                kind = min((x for x in kinds if not isinstance(x, Finite) or x.size > k), key=kind_key)
                 raise ValueError(
                     f"description not in finite-label range: kind {kind} with k={k}"
                 )
@@ -111,36 +111,22 @@ def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
 
 
 def expand_colored(m: MulticoloredModel) -> ColoredDescription:
-    """Unconstrained model -> colored description."""
+    """Unconstrained model -> colored description: the same points, without k."""
     if m.adjacency_constrained:
         raise ValueError("expand_colored expects an adjacency-unconstrained model")
-    _require_valid_model(m)
-    segments = []
-    for p in m.points:
-        if isinstance(p, RPoint):
-            segments.append(ColorPoint(p.color))
-        else:
-            segments.append(ColorShuffle(p.colors))
-    return ColoredDescription(segments)
+    _require(validate_model(m), "model")
+    return ColoredDescription(m.points)
 
 
 def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_colored."""
     _require_nonnegative(k)
-    report = validate_colored_description(d)
-    if not report.ok:
-        raise InvalidStructureError("colored description", report)
-    points = []
+    _require(validate_colored_description(d), "colored description")
     for seg in d.segments:
-        colors = [seg.color] if isinstance(seg, ColorPoint) else seg.colors
-        for c in colors:
+        for c in [seg.color] if isinstance(seg, RPoint) else sorted(seg.colors):
             if not 1 <= c <= k:
                 raise ValueError(f"color {c} outside 1..{k}")
-        if isinstance(seg, ColorPoint):
-            points.append(RPoint(seg.color))
-        else:
-            points.append(SPoint(seg.colors))
-    return MulticoloredModel(k, points, adjacency_constrained=False)
+    return MulticoloredModel(k, d.segments, adjacency_constrained=False)
 
 
 def _check_extended_nat(name: str, value: ExtendedNat) -> None:
@@ -165,9 +151,7 @@ def classify_cnm(d: OrderingDescription, n: ExtendedNat, m: ExtendedNat) -> bool
     """Whether every block kind in d survives successor/predecessor budgets (n, m)."""
     _check_extended_nat("n", n)
     _check_extended_nat("m", m)
-    report = validate_description(d)
-    if not report.ok:
-        raise InvalidStructureError("description", report)
+    _require(validate_description(d), "description")
     for seg in d.segments:
         kinds = [seg.kind] if isinstance(seg, SingletonBlock) else seg.kinds
         if not all(_kind_permitted(kind, n, m) for kind in kinds):

@@ -13,6 +13,13 @@ each a singleton block of some kind (a finite size, omega, omega*, or zeta) or
 a shuffle of a set of kinds, with every kind used at most once overall and the
 singleton adjacencies that would glue blocks together forbidden.
 
+A colored description, the picture of an unconstrained model, is that model's
+own point sequence without k: ``ColorPoint`` and ``ColorShuffle`` are other
+names for ``RPoint`` and ``SPoint``. Its rules are that no color repeats and
+no shuffle is empty. One point codec writes and reads both wire formats, which
+differ only in their type tags: "R"/"S" for models, "block"/"shuffle" for
+colored descriptions.
+
 Validators return violation lists rather than raising; each violation carries
 a machine-readable axiom identifier:
 
@@ -140,27 +147,15 @@ class OrderingDescription:
         object.__setattr__(self, "segments", tuple(segments))
 
 
-@dataclass(frozen=True)
-class ColorPoint:
-    color: int
-
-
-@dataclass(frozen=True)
-class ColorShuffle:
-    colors: frozenset[int]
-
-    def __init__(self, colors: Iterable[int]):
-        object.__setattr__(self, "colors", frozenset(colors))
-
-
-ColorSegment = Union[ColorPoint, ColorShuffle]
+ColorPoint = RPoint
+ColorShuffle = SPoint
 
 
 @dataclass(frozen=True)
 class ColoredDescription:
-    segments: tuple[ColorSegment, ...] = ()
+    segments: tuple[Point, ...] = ()
 
-    def __init__(self, segments: Iterable[ColorSegment] = ()):
+    def __init__(self, segments: Iterable[Point] = ()):
         object.__setattr__(self, "segments", tuple(segments))
 
 
@@ -289,8 +284,8 @@ def validate_colored_description(d: ColoredDescription) -> ValidationReport:
     out: list[Violation] = []
     seen: dict[int, int] = {}
     for i, seg in enumerate(d.segments):
-        colors = [seg.color] if isinstance(seg, ColorPoint) else sorted(seg.colors)
-        if isinstance(seg, ColorShuffle) and not seg.colors:
+        colors = [seg.color] if isinstance(seg, RPoint) else sorted(seg.colors)
+        if isinstance(seg, SPoint) and not seg.colors:
             out.append(Violation("T.shuffle_empty", (i,), f"empty shuffle at {i}"))
         for color in colors:
             if color in seen:
@@ -333,13 +328,19 @@ def canonical_compare(a: MulticoloredModel, b: MulticoloredModel) -> int:
 # JSON wire formats (bit-exact contracts; color sets are sorted lists, never bitmasks)
 
 
-def model_to_dict(m: MulticoloredModel) -> dict:
-    points = []
-    for p in m.points:
-        if isinstance(p, RPoint):
-            points.append({"type": "R", "color": p.color})
+def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str) -> list:
+    """The wire form of `points`, each tagged `r_tag` (R-point) or `s_tag` (S-point)."""
+    out = []
+    for p in points:
+        if type(p) is RPoint:  # cheaper than isinstance; this runs once per point written
+            out.append({"type": r_tag, "color": p.color})
         else:
-            points.append({"type": "S", "colors": sorted(p.colors)})
+            out.append({"type": s_tag, "colors": sorted(p.colors)})
+    return out
+
+
+def model_to_dict(m: MulticoloredModel) -> dict:
+    points = _points_to_json(m.points, "R", "S")
     return {"k": m.k, "adjacency_constrained": m.adjacency_constrained, "points": points}
 
 
@@ -377,20 +378,28 @@ def _colors(value, what: str) -> frozenset[int]:
     return _distinct(frozenset(value), value, what)
 
 
+def _points_from_json(entries: list, r_tag: str, s_tag: str) -> list[Point]:
+    """Inverse of _points_to_json; an entry of another type is refused."""
+    points: list[Point] = []
+    for entry in entries:
+        tag = entry["type"]
+        if tag == r_tag:
+            points.append(RPoint(_int(entry["color"], "color")))
+        elif tag == s_tag:
+            points.append(SPoint(_colors(entry["colors"], "colors")))
+        else:
+            entry_name = "point" if r_tag == "R" else "segment"
+            raise ValueError(f"unknown {entry_name} type {tag!r}")
+    return points
+
+
 def model_from_dict(data: dict) -> MulticoloredModel:
     try:
         k = _int(data["k"], "k")
         if k < 0:
             raise ValueError(f"k must be nonnegative, got {k}")
         constrained = _bool(data["adjacency_constrained"], "adjacency_constrained")
-        points: list[Point] = []
-        for entry in _list(data["points"], "points"):
-            if entry["type"] == "R":
-                points.append(RPoint(_int(entry["color"], "color")))
-            elif entry["type"] == "S":
-                points.append(SPoint(_colors(entry["colors"], "colors")))
-            else:
-                raise ValueError(f"unknown point type {entry['type']!r}")
+        points = _points_from_json(_list(data["points"], "points"), "R", "S")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model JSON: {exc}") from exc
     return MulticoloredModel(k, points, constrained)
@@ -441,25 +450,12 @@ def description_from_dict(data: dict) -> OrderingDescription:
 
 
 def colored_description_to_dict(d: ColoredDescription) -> dict:
-    segments = []
-    for seg in d.segments:
-        if isinstance(seg, ColorPoint):
-            segments.append({"type": "block", "color": seg.color})
-        else:
-            segments.append({"type": "shuffle", "colors": sorted(seg.colors)})
-    return {"segments": segments}
+    return {"segments": _points_to_json(d.segments, "block", "shuffle")}
 
 
 def colored_description_from_dict(data: dict) -> ColoredDescription:
     try:
-        segments: list[ColorSegment] = []
-        for entry in _list(data["segments"], "segments"):
-            if entry["type"] == "block":
-                segments.append(ColorPoint(_int(entry["color"], "color")))
-            elif entry["type"] == "shuffle":
-                segments.append(ColorShuffle(_colors(entry["colors"], "colors")))
-            else:
-                raise ValueError(f"unknown segment type {entry['type']!r}")
+        segments = _points_from_json(_list(data["segments"], "segments"), "block", "shuffle")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed colored description JSON: {exc}") from exc
     return ColoredDescription(segments)

@@ -487,6 +487,21 @@ def test_contract_out_of_range_kind(tmp_path, capsys):
     assert "finite-label range" in err
 
 
+def test_contract_names_the_same_kind_under_every_hash_seed():
+    # a shuffle's kinds are a frozenset, whose iteration order follows the hash seed
+    src = str(Path(counting.__file__).resolve().parents[1])
+    doc = json.dumps({"segments": [{"type": "shuffle", "kinds": ["zeta", "omega", "omega_star"]}]})
+    errors = []
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-m", "homcount", "contract", "--k", "3"], input=doc, env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 2
+        errors.append(out.stderr)
+    assert errors == ["description not in finite-label range: kind InfiniteKind.OMEGA with k=3\n"] * 4
+
+
 def _model(**fields):
     points = [{"type": "S", "colors": [1, 2]}, {"type": "R", "color": 3}]
     return {"k": 3, "adjacency_constrained": True, "points": points, **fields}
@@ -494,54 +509,63 @@ def _model(**fields):
 
 # the wrongly typed inputs of the ROADMAP's strict-wire-format table, one per row
 @pytest.mark.parametrize(
-    "argv,doc",
+    "argv,doc,message",
     [
-        (["expand"], _model(k="3")),
-        (["expand"], _model(points=[{"type": "S", "colors": "12"}])),
-        (["expand"], _model(adjacency_constrained="yes")),
-        (["expand"], _model(points=[{"type": "R", "color": 1.0}])),
-        (["expand"], _model(points=[{"type": "R", "color": True}])),
-        (["contract", "--k", "3"], {"segments": [{"type": "block", "kind": {"finite": True}}]}),
+        (["expand"], _model(k="3"), "k must be an integer, got '3'"),
+        (["expand"], _model(points=[{"type": "S", "colors": "12"}]), "colors must be a list, got '12'"),
+        (["expand"], _model(adjacency_constrained="yes"),
+         "adjacency_constrained must be true or false, got 'yes'"),
+        (["expand"], _model(points=[{"type": "R", "color": 1.0}]), "color must be an integer, got 1.0"),
+        (["expand"], _model(points=[{"type": "R", "color": True}]), "color must be an integer, got True"),
+        (["contract", "--k", "3"], {"segments": [{"type": "block", "kind": {"finite": True}}]},
+         "finite size must be an integer, got True"),
     ],
     ids=["k-str", "colors-str", "flag-str", "color-float", "color-bool", "finite-bool"],
 )
-def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc):
+def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc, message):
     src = tmp_path / "input.json"
     src.write_text(json.dumps(doc))
     code, out, err = run(capsys, *argv, "--input", str(src))
     assert code == 2
     assert out == ""
     assert err and "Traceback" not in err
+    assert message in err
 
 
 # input defects that once ended in a traceback (deep nesting) or were silently
 # accepted (negative k, entries merged by a set), one per row
 @pytest.mark.parametrize(
-    "argv,text",
+    "argv,text,message",
     [
-        (["expand"], "[" * 100000 + "]" * 100000),
-        (["contract", "--k", "-5"], json.dumps({"segments": []})),
-        (["contract", "--k", "-5", "--unconstrained"], json.dumps({"segments": []})),
-        (["expand"], json.dumps(_model(k=-3, points=[]))),
-        (["expand"], json.dumps(_model(points=[{"type": "S", "colors": [1, 1]}]))),
+        (["expand"], "[" * 100000 + "]" * 100000, "JSON input is nested too deeply"),
+        (["contract", "--k", "-5"], json.dumps({"segments": []}), "k must be nonnegative, got -5"),
+        (["contract", "--k", "-5", "--unconstrained"], json.dumps({"segments": []}),
+         "k must be nonnegative, got -5"),
+        (["expand"], json.dumps(_model(k=-3, points=[])), "k must be nonnegative, got -3"),
+        (["expand"], json.dumps(_model(points=[{"type": "S", "colors": [1, 1]}])),
+         "colors repeats an entry: [1, 1]"),
         (["contract", "--k", "3", "--unconstrained"],
-         json.dumps({"segments": [{"type": "shuffle", "colors": [1, 1]}]})),
+         json.dumps({"segments": [{"type": "shuffle", "colors": [1, 1]}]}),
+         "colors repeats an entry: [1, 1]"),
         (["contract", "--k", "3"],
-         json.dumps({"segments": [{"type": "shuffle", "kinds": [{"finite": 1}, {"finite": 1}]}]})),
-        (["verify", "--terms", "-1"], ""),
-        (["verify", "--cap", "-3"], ""),
-        (["count", "--sequence", "L", "--k", "0", "--method", "brute-force", "--cap", "-1"], ""),
-        (["enumerate", "--k", "0", "--cap", "-2"], ""),
+         json.dumps({"segments": [{"type": "shuffle", "kinds": [{"finite": 1}, {"finite": 1}]}]}),
+         "kinds repeats an entry: [{'finite': 1}, {'finite': 1}]"),
+        (["verify", "--terms", "-1"], "", "series_order must be nonnegative, got -1"),
+        (["verify", "--cap", "-3"], "", "cap must be nonnegative, got -3"),
+        (["count", "--sequence", "L", "--k", "0", "--method", "brute-force", "--cap", "-1"], "",
+         "cap must be nonnegative, got -1"),
+        (["enumerate", "--k", "0", "--cap", "-2"], "", "cap must be nonnegative, got -2"),
     ],
     ids=["deep-nesting", "contract-negative-k", "contract-colored-negative-k", "expand-negative-k",
          "repeated-color", "repeated-shuffle-color", "repeated-kind", "verify-negative-terms",
          "verify-negative-cap", "count-negative-cap", "enumerate-negative-cap"],
 )
-def test_malformed_inputs_are_usage_errors(argv, text):
+def test_malformed_inputs_are_usage_errors(argv, text, message):
     code, out, err = run_on_stdin(argv, text)
     assert code == 2
     assert out == ""
     assert err and "Traceback" not in err
+    assert message in err
 
 
 _WIRE_KEYS = ["k", "adjacency_constrained", "points", "type", "color", "colors", "segments", "kind", "kinds",

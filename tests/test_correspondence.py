@@ -1,6 +1,8 @@
 """Round trips, classifier cases, and the finite homogeneity oracle."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -29,6 +31,9 @@ from homcount.model import (
     SPoint,
     Shuffle,
     SingletonBlock,
+    ZETA,
+    colored_description_to_dict,
+    description_to_dict,
     validate_colored_description,
     validate_description,
 )
@@ -78,6 +83,44 @@ def test_expand_colored_examples():
     assert contract_colored(ColoredDescription([]), 0) == MulticoloredModel(0, [], False)
     with pytest.raises(ValueError, match="adjacency-unconstrained"):
         expand_colored(MulticoloredModel(1, [RPoint(1)], True))
+
+
+def test_expand_colored_keeps_the_model_points():
+    for k in range(5):
+        for m in enumerate_models(k, False):
+            assert expand_colored(m).segments == m.points
+
+
+def test_contract_names_the_first_label_in_canonical_order():
+    kinds = OrderingDescription([Shuffle([ZETA, OMEGA, Finite(5)])])
+    with pytest.raises(ValueError, match=r"finite-label range: kind Finite\(size=5\) with k=3$"):
+        contract_description(kinds, 3)
+    colors = ColoredDescription([ColorPoint(1), ColorShuffle({2, -1, 7})])
+    with pytest.raises(ValueError, match="^color -1 outside 1..1$"):
+        contract_colored(colors, 1)
+
+
+# sha256 of the description_to_dict / colored_description_to_dict JSON lines of
+# the expansions of every model at k = 0..5, recorded before colored
+# descriptions shared the model's point classes
+GOLDEN_EXPANSIONS = {
+    True: (6132, "a900832daac44168ac74001acaf4879f84afd8ba5ce92a8e4aa0a6efe9196168"),
+    False: (10658, "58403dd694c8964df90e68bdba8c367d7f9a5d7109d31ad1bfa7bd5c266ffdb6"),
+}
+
+
+@pytest.mark.parametrize("constrained", sorted(GOLDEN_EXPANSIONS))
+def test_expansion_bytes_match_golden(constrained):
+    if constrained:
+        expand, to_dict = expand_model, description_to_dict
+    else:
+        expand, to_dict = expand_colored, colored_description_to_dict
+    digest, count = hashlib.sha256(), 0
+    for k in range(6):
+        for m in enumerate_models(k, constrained):
+            digest.update((json.dumps(to_dict(expand(m))) + "\n").encode())
+            count += 1
+    assert (count, digest.hexdigest()) == GOLDEN_EXPANSIONS[constrained]
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -152,6 +152,11 @@ def test_validate_colored_description():
     assert bad.axioms() == {"T.disjoint"}
 
 
+def test_colored_points_are_the_model_points():
+    assert ColorPoint is RPoint and ColorShuffle is SPoint
+    assert ColoredDescription([ColorPoint(1), ColorShuffle({2})]).segments == (RPoint(1), SPoint({2}))
+
+
 def test_canonical_compare_examples():
     empty = MulticoloredModel(1, [])
     r1 = MulticoloredModel(1, [RPoint(1)])
@@ -224,6 +229,11 @@ def test_json_rejects_malformed():
         model_from_dict({"k": 1, "adjacency_constrained": True, "points": [{"type": "Q"}]})
     with pytest.raises(ValueError):
         description_from_dict({"segments": [{"type": "block", "kind": "sideways"}]})
+    # one point reader serves both formats; each names its own entry type
+    with pytest.raises(ValueError, match="^unknown point type 'block'$"):
+        model_from_dict({"k": 1, "adjacency_constrained": False, "points": [{"type": "block", "color": 1}]})
+    with pytest.raises(ValueError, match="^unknown segment type 'R'$"):
+        colored_description_from_dict({"segments": [{"type": "R", "color": 1}]})
 
 
 def test_json_rejects_wrong_types():
