@@ -59,10 +59,14 @@ def constants() -> AsymptoticConstants:
     s = -ew / (ew + e2)
     root = math.sqrt(1 + 4 * math.log(2))
     p = (-1 + root) / (2 * root)
+    return AsymptoticConstants(Z=z, R=r, S=s, limit_ratio=s / r, p_star=p, M=_growth_bound(p))
+
+
+def _growth_bound(p: float) -> float:
+    """The growth-bound expression at 0 < p < 1/2, where q = p/(1-p) lies in (0, 1)."""
     q = p / (1 - p)
     entropy = -(q * math.log2(q) + (1 - q) * math.log2(1 - q))
-    m = (1 / math.log(2)) ** (1 - p) * 2 ** ((1 - p) * entropy)
-    return AsymptoticConstants(Z=z, R=r, S=s, limit_ratio=s / r, p_star=p, M=m)
+    return (1 / math.log(2)) ** (1 - p) * 2 ** ((1 - p) * entropy)
 
 
 def _log_approx_A(k: int) -> float:
@@ -95,13 +99,7 @@ def growth_bound_M() -> float:
 
 def growth_bound_grid_check(samples: int = 2000) -> float:
     """Grid maximum of the bound expression over (0, 1/2); cross-check for p_star."""
-    best = 0.0
-    for i in range(1, samples):
-        p = 0.5 * i / samples
-        q = p / (1 - p)
-        entropy = -(q * math.log2(q) + (1 - q) * math.log2(1 - q)) if 0 < q < 1 else 0.0
-        best = max(best, (1 / math.log(2)) ** (1 - p) * 2 ** ((1 - p) * entropy))
-    return best
+    return max((_growth_bound(0.5 * i / samples) for i in range(1, samples)), default=0.0)
 
 
 def bound_ratio_I(k: int) -> float:

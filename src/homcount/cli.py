@@ -248,16 +248,11 @@ def cmd_asymptotic(args) -> int:
     from homcount import asymptotics
 
     if args.asymptotic_command == "constants":
+        from dataclasses import fields
+
         c = asymptotics.constants()
-        for label, value in [
-            ("Z", c.Z),
-            ("R", c.R),
-            ("S", c.S),
-            ("limit_ratio", c.limit_ratio),
-            ("p_star", c.p_star),
-            ("M", c.M),
-        ]:
-            print(f"{label.ljust(11)} = {value:.10g}")
+        for field in fields(c):
+            print(f"{field.name.ljust(11)} = {getattr(c, field.name):.10g}")
         return 0
     rows = asymptotics.ratio_report(args.k_max)
     print(f"{'k'.rjust(3)}  {'L(k)/A(k)'.ljust(18)}  {'J(k)/L(k)'.ljust(18)}")

@@ -8,12 +8,12 @@ here ever rounds.
 factorial and binomial are the standard library's math.factorial and math.comb
 behind a nonnegativity check, so verify's Pascal identity check tests an
 implementation that was not built from that identity. The stdlib has no
-Stirling numbers: stirling2 is memoized in a triangular table grown on demand,
-because counting.closed_form_I and verify's Stirling property suite re-query
-small cells heavily (the recurrence tables in counting use none of these
-primitives, so they stay independent of the closed form that checks them). Rows
-are built completely before being published, so concurrent readers always
-observe correct values.
+Stirling numbers: stirling2 reads its rows from a GrowingTable, because
+counting.closed_form_I and verify's Stirling property suite re-query small
+cells heavily. GrowingTable is also the type of counting's recurrence tables,
+but the class keeps no state: every instance owns its list, its lock and the
+function that computes its next entry, so the recurrences and the closed form
+that checks them share no entry.
 """
 
 from __future__ import annotations
@@ -25,10 +25,32 @@ from fractions import Fraction
 BigCount = int
 ExactRational = Fraction
 
-_stirling_rows: list[list[int]] = [[1]]
-# growth appends a row derived from the previous one, so two growers racing
-# would duplicate rows and corrupt every later cell
-_stirling_lock = threading.Lock()
+
+class GrowingTable:
+    """Entries 0, 1, 2, ... of a sequence, computed on first read and kept.
+
+    Entry 0 is `first`; entry n > 0 is next_value(n, entry n-1). Reading a
+    missing entry n computes every missing entry through n under the table's
+    lock, since next_value may keep state of its own and two growers racing
+    would duplicate entries. An entry is published only when it is complete,
+    so a read of an existing entry takes no lock: it is one list index, tried
+    first because stirling2 reads thousands of cells per
+    counting.closed_form_I call.
+    """
+
+    def __init__(self, first, next_value):
+        self._values = [first]
+        self._lock = threading.Lock()
+        self._next_value = next_value
+
+    def __getitem__(self, n: int):
+        try:
+            return self._values[n]
+        except IndexError:
+            with self._lock:
+                while len(self._values) <= n:
+                    self._values.append(self._next_value(len(self._values), self._values[-1]))
+            return self._values[n]
 
 
 def factorial(n: int) -> int:
@@ -45,6 +67,15 @@ def binomial(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
+def _stirling_row(n: int, prev: list[int]) -> list[int]:
+    """Row n >= 1 from row n-1: S(n, 0) = 0, S(n, j) = j S(n-1, j) + S(n-1, j-1)
+    for 0 < j < n, and S(n, n) = 1."""
+    return [0] + [j * prev[j] + prev[j - 1] for j in range(1, n)] + [1]
+
+
+_stirling_triangle = GrowingTable([1], _stirling_row)
+
+
 def stirling2(n: int, m: int) -> int:
     """Stirling number of the second kind S(n, m).
 
@@ -57,13 +88,4 @@ def stirling2(n: int, m: int) -> int:
         raise ValueError(f"stirling2 arguments must be nonnegative, got ({n}, {m})")
     if m > n:
         return 0
-    if len(_stirling_rows) <= n:
-        with _stirling_lock:
-            while len(_stirling_rows) <= n:
-                prev = _stirling_rows[-1]
-                i = len(_stirling_rows)
-                row = [0] * (i + 1)
-                for j in range(1, i + 1):
-                    row[j] = j * (prev[j] if j < len(prev) else 0) + prev[j - 1]
-                _stirling_rows.append(row)
-    return _stirling_rows[n][m]
+    return _stirling_triangle[n][m]

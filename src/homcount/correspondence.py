@@ -7,7 +7,8 @@ same way into a colored description, which holds the model's own points (no
 adjacency rules, no k). Both directions are pure re-taggings, the colored one
 literally so, and contraction is the exact inverse. Contraction names the
 first out-of-range label in canonical order (segments in order, kinds by
-kind_key, colors ascending), so the message is the same on every run.
+kind_key, colors ascending), so the message is the same on every run; a
+kind is named in its wire encoding.
 
 classify_cnm decides whether a description stays homogeneous when the language
 keeps predicates for n successors, m predecessors, and distances below n+m:
@@ -45,6 +46,7 @@ from homcount.model import (
     ValidationReport,
     ZETA,
     kind_key,
+    kind_to_json,
     validate_colored_description,
     validate_description,
     validate_model,
@@ -101,7 +103,7 @@ def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
                 # would cost the valid path a key call per kind
                 kind = min((x for x in kinds if not isinstance(x, Finite) or x.size > k), key=kind_key)
                 raise ValueError(
-                    f"description not in finite-label range: kind {kind} with k={k}"
+                    f"description not in finite-label range: kind {kind_to_json(kind)} with k={k}"
                 )
         if isinstance(seg, SingletonBlock):
             points.append(RPoint(seg.kind.size))

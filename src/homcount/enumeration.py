@@ -6,8 +6,9 @@ Models are produced shortest first, then lexicographically by point encoding
 order of model.canonical_compare. One generator, _stream, serves all three
 public streams; it recurses over the next point and reads that point's
 candidates from a per-mask move table (_point_moves) of (point, rest, size)
-triples in canonical order. Each RPoint and SPoint is built once per color or
-color mask and shared by every table and every model (points are frozen).
+triples in canonical order, sorted by model.point_key. Each RPoint and SPoint
+is built once per color or color mask and shared by every table and every
+model (points are frozen).
 
 Counting never materializes models: it goes through homcount.kernel, which
 walks the same choice tree and splits the surjective models into S-first and
@@ -28,17 +29,7 @@ from typing import Iterator
 
 from homcount import kernel
 from homcount.kernel import DEFAULT_CAP, BruteForceCapError, brute_force_cap, check_cap  # noqa: F401
-from homcount.model import MulticoloredModel, RPoint, SPoint
-
-def _lex_subsets(mask: int) -> Iterator[int]:
-    """Nonempty submasks of `mask`, in lexicographic order of their sorted colors."""
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        yield low
-        for tail in _lex_subsets(rest):
-            yield low | tail
+from homcount.model import MulticoloredModel, RPoint, SPoint, point_key
 
 
 @cache
@@ -61,8 +52,13 @@ def _point_moves(avail: int) -> tuple[tuple, tuple]:
         low = m & -m
         m ^= low
         r_moves.append((_r_point(low), avail ^ low, 1))
-    s_moves = tuple((_s_point(sub), avail ^ sub, sub.bit_count()) for sub in _lex_subsets(avail))
-    return tuple(r_moves), s_moves
+    s_moves = []
+    sub = avail
+    while sub:  # every nonempty submask, then into canonical order
+        s_moves.append((_s_point(sub), avail ^ sub, sub.bit_count()))
+        sub = (sub - 1) & avail
+    s_moves.sort(key=lambda move: point_key(move[0]))
+    return tuple(r_moves), tuple(s_moves)
 
 
 def _stream(k: int, constrained: bool, surjective: bool, r_points: bool) -> Iterator[MulticoloredModel]:

@@ -1,12 +1,14 @@
 """Oracle and property tests for the combinatorial primitives."""
 
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from homcount.combinatorics import binomial, factorial, stirling2
+from homcount.combinatorics import GrowingTable, binomial, factorial, stirling2
 
 
 def product_oracle(n):
@@ -124,6 +126,32 @@ def test_concurrent_table_growth_observes_correct_values():
     for (n, m), got in zip(cells, stirling_results):
         # sequential recomputation must agree with what the threads saw
         assert got == stirling2(n, m)
+
+
+def test_racing_readers_compute_each_entry_once():
+    computed = []
+
+    def next_value(n, previous):
+        computed.append(n)
+        return previous + (n,)
+
+    table = GrowingTable((0,), next_value)
+    start = threading.Barrier(8, timeout=60)
+
+    def read(_):
+        start.wait()
+        return table[300]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often enough to interleave growers
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(read, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert computed == list(range(1, 301))
+    assert results == [tuple(range(301))] * 8
+    assert [table[n] for n in (0, 150, 300)] == [(0,), tuple(range(151)), tuple(range(301))]
 
 
 def test_rational_arithmetic_is_exact():

@@ -93,7 +93,7 @@ def test_expand_colored_keeps_the_model_points():
 
 def test_contract_names_the_first_label_in_canonical_order():
     kinds = OrderingDescription([Shuffle([ZETA, OMEGA, Finite(5)])])
-    with pytest.raises(ValueError, match=r"finite-label range: kind Finite\(size=5\) with k=3$"):
+    with pytest.raises(ValueError, match=r"finite-label range: kind \{'finite': 5\} with k=3$"):
         contract_description(kinds, 3)
     colors = ColoredDescription([ColorPoint(1), ColorShuffle({2, -1, 7})])
     with pytest.raises(ValueError, match="^color -1 outside 1..1$"):

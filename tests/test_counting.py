@@ -143,9 +143,11 @@ def naive():
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty recurrence tables for one test; the shared ones come back afterwards."""
-    for name in ("_k1_table", "_j_table", "_fubini_table", "_k_diagonal", "_j_diagonal", "_fubini_diagonal"):
-        monkeypatch.setattr(counting, name, [1])
+    """Empty recurrence tables, built as the module builds its own, for one test;
+    the shared ones come back afterwards."""
+    for name, entry in [("_k1_values", counting._k_entry), ("_j_values", counting._j_entry),
+                        ("_fubini_values", counting._fubini_entry)]:
+        monkeypatch.setattr(counting, name, counting._euler_seidel(entry))
 
 
 def test_resumed_growth_matches_naive_sums(fresh_tables, naive):
@@ -190,5 +192,5 @@ def test_table_growth_memory_stays_linear():
 
 def test_negative_index_rejected():
     for fn in (count_I, count_L, j_surjective, k1, k2, fubini, closed_form_I):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sequence index must be nonnegative, got -1$"):
             fn(-1)
