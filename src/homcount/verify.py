@@ -183,6 +183,8 @@ def run_checks(k_max: int = 25, series_order: int = 25, cap: int | None = None) 
     for arg, value in (("k_max", k_max), ("series_order", series_order)):
         if value < 0:
             raise ValueError(f"{arg} must be nonnegative, got {value}")
+    if series_order > series.MAX_ORDER:
+        raise ValueError(f"series_order must be at most {series.MAX_ORDER}, got {series_order}")
     # every walk below stays at k <= brute_limit, so it calls the kernel without a cap check
     brute_limit = min(k_max, kernel.brute_force_cap(cap))
     i_terms, l_terms = range(1, min(13, k_max) + 1), range(min(12, k_max) + 1)

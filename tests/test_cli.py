@@ -256,6 +256,28 @@ def test_brute_force_count_beyond_the_bound_is_usage_error(capsys):
     assert "beyond k=12" in err and "Traceback" not in err
 
 
+# each series route refuses an order above series.MAX_ORDER (120) before building anything
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["count", "--sequence", "L", "--k", "121", "--method", "egf"],
+         "series not supported beyond order 120, got 121"),
+        (["count", "--sequence", "J_surjective", "--k", "10000", "--method", "egf"],
+         "series not supported beyond order 120, got 10000"),
+        (["count", "--sequence", "Fubini", "--k", "121", "--method", "egf"],
+         "series not supported beyond order 120, got 121"),
+        (["series", "--egf", "f", "--terms", "100000"], "series not supported beyond order 120, got 100000"),
+        (["verify", "--terms", "121"], "series_order must be at most 120, got 121"),
+    ],
+    ids=["count-egf-L", "count-egf-J", "count-egf-fubini", "series", "verify"],
+)
+def test_series_order_beyond_the_bound_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--k-max", "6")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 
 from homcount.counting import count_L, fubini, j_surjective
 from homcount.series import (
+    MAX_ORDER,
     TruncatedSeries,
     egf_counts,
     egf_f,
@@ -49,6 +50,35 @@ def test_mul_matches_convolution_oracle():
     assert list(got.coeffs) == expected
     # e^x * e^x = e^{2x}: coefficient j is 2^j / j!
     assert got.coeffs == (frac(1), frac(2), frac(2), frac(4, 3))
+
+
+def test_mul_is_exact_on_unrelated_denominators():
+    # ps_mul works over one common denominator per operand; the oracle multiplies Fractions term by term
+    rng = random.Random(2024)
+    denominators = [1, 2, 7, 11, 12, 13, 5040]
+    for _ in range(200):
+        a, b = (
+            [Fraction(rng.randint(-30, 30) * rng.randint(0, 1), rng.choice(denominators))
+             for _ in range(rng.randint(1, 14))]
+            for _ in range(2)
+        )
+        order = min(len(a), len(b)) - 1
+        got = ps_mul(TruncatedSeries(a), TruncatedSeries(b))
+        assert got.order == order
+        assert list(got.coeffs) == binomial_convolution_oracle(a, b, order)
+
+
+def test_mul_edge_cases():
+    a = [frac(1, 7), frac(-3, 11), frac(0), frac(5, 12)]
+    b = [frac(-2, 11), frac(1, 12), frac(7, 13)]
+    assert ps_mul(TruncatedSeries(a), TruncatedSeries(b)).coeffs == tuple(binomial_convolution_oracle(a, b, 2))
+    assert ps_mul(TruncatedSeries([frac(-2, 7)]), TruncatedSeries(b)).coeffs == (frac(4, 77),)
+    assert ps_mul(ps_constant(0, 3), TruncatedSeries(a)) == ps_constant(0, 3)
+
+
+def test_mul_at_order_60_where_the_lcm_is_60_factorial():
+    e, f = ps_exp(60), egf_f(60)
+    assert list(ps_mul(e, f).coeffs) == binomial_convolution_oracle(list(e.coeffs), list(f.coeffs), 60)
 
 
 def test_add_and_mul_identities():
@@ -127,8 +157,8 @@ def test_H_counts_match_recurrence():
 
 
 def test_f_counts_match_recurrence():
-    f = egf_f(N)
-    for k in range(N + 1):
+    f = egf_f(60)  # beyond N: the lcm inside ps_mul reaches 60!
+    for k in range(61):
         assert egf_counts(f, k) == j_surjective(k)
 
 
@@ -140,8 +170,17 @@ def test_fubini_counts_match_recurrence():
 
 def test_H_is_exp_times_f():
     # reciprocal route (H) against composition route (f)
-    for order in (0, 1, 5, 12, N):
+    for order in (0, 1, 5, 12, N, 40):
         assert egf_H(order) == ps_mul(ps_exp(order), egf_f(order))
+
+
+def test_builders_refuse_orders_above_the_bound():
+    assert egf_fubini(MAX_ORDER).order == MAX_ORDER
+    for build in (egf_f, egf_H, egf_fubini):
+        # 10**9 would exhaust memory if anything were built before the check
+        for order in (MAX_ORDER + 1, 10**9):
+            with pytest.raises(ValueError, match=f"beyond order {MAX_ORDER}, got {order}"):
+                build(order)
 
 
 def test_coefficients_are_nonnegative():
