@@ -66,6 +66,7 @@ _SUBMODULES = frozenset({
     "enumeration",
     "kernel",
     "model",
+    "routes",
     "series",
     "verify",
 })

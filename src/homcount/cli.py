@@ -2,21 +2,20 @@
 
 Subcommands: count, enumerate, verify, export, series, asymptotic
 (constants | ratios), expand, contract. Long flag names only; all values are
-exact decimals (JSON exports carry them as strings, since they outgrow
-53-bit floats early). Exit codes: 0 success, 1 check or runtime failure,
-2 usage error. HOMCOUNT_CAP overrides the default brute-force cap of 7.
+exact decimals (JSON exports carry them as strings, since they outgrow 53-bit
+floats early). Exit codes: 0 success, 1 check or runtime failure (a reader
+that closes stdout early among them), 2 usage error. HOMCOUNT_CAP overrides
+the default brute-force cap of 7.
 
-ROUTES is the one table of counted sequences: for each sequence, the first
-index of its term list and its methods, each a function value(k, cap) with the
-default method first. `count` checks the method and the index against it and
-`export` lists the default route. Each brute-force route applies the cap
-(kernel.check_cap) and then runs one kernel.root_split walk.
+`count` and `export` read routes.ROUTES, the one table of counted sequences:
+`count` checks the method against it and prints that route's term k, and
+`export` lists the default route's terms. The routes refuse an index below
+the first, a negative cap and an index above their bound.
 
 Each command imports only the layers it runs. At module level this file loads
-counting and kernel, the two layers ROUTES is built from; series, verify,
-asymptotics, model, enumeration and correspondence are imported inside the
-commands and routes that use them, so `--help`, a recurrence count or a
-brute-force count starts without them.
+routes, counting and kernel; series, verify, asymptotics, model, enumeration
+and correspondence are imported inside the commands and routes that use them,
+so `--help`, a recurrence count or a brute-force count starts without them.
 
 Computed values are printed in full, however many digits they have; the
 interpreter's int/str digit limit still applies to numbers parsed from argv
@@ -27,62 +26,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
-from operator import itemgetter
 
-from homcount import counting, kernel
+from homcount import kernel
 from homcount.counting import SequenceId
+from homcount.routes import ROUTES
 
 USAGE_ERROR = 2
 FAILURE = 1
-
-Route = Callable[[int, int | None], int]  # value(k, cap)
-
-
-def _exact(fn: Callable[[int], int]) -> Route:
-    """A recurrence or closed form: no cap applies."""
-    return lambda k, cap: fn(k)
-
-
-def _egf(builder: str) -> Route:
-    """k! times coefficient k of the series `series.<builder>` built to order k."""
-
-    def value(k: int, cap: int | None) -> int:
-        from homcount import series
-
-        return series.egf_counts(getattr(series, builder)(k), k)
-
-    return value
-
-
-def _walk(pick: Callable, constrained: bool, surjective: bool, r_points: bool = True) -> Route:
-    """The cap check, then one walk; `pick` reduces its (S-first, R-first) split."""
-
-    def value(k: int, cap: int | None) -> int:
-        kernel.check_cap(k, cap)
-        return pick(kernel.root_split(k, constrained, surjective, r_points))
-
-    return value
-
-
-# sequence -> (first index of its term list, {method: route}), default method first
-ROUTES: dict[SequenceId, tuple[int, dict[str, Route]]] = {
-    SequenceId.I: (1, {"recurrence": _exact(counting.count_I), "closed-form": _exact(counting.closed_form_I),
-                       "brute-force": _walk(sum, True, False)}),
-    SequenceId.L: (0, {"recurrence": _exact(counting.count_L), "egf": _egf("egf_H"),
-                       "brute-force": _walk(sum, False, False)}),
-    SequenceId.J_SURJECTIVE: (0, {"recurrence": _exact(counting.j_surjective), "egf": _egf("egf_f"),
-                                  "brute-force": _walk(sum, False, True)}),
-    SequenceId.K1: (0, {"recurrence": _exact(counting.k1), "brute-force": _walk(itemgetter(0), True, True)}),
-    SequenceId.K2: (0, {"recurrence": _exact(counting.k2), "brute-force": _walk(itemgetter(1), True, True)}),
-    SequenceId.FUBINI: (0, {"recurrence": _exact(counting.fubini), "egf": _egf("egf_fubini"),
-                            "brute-force": _walk(sum, False, True, r_points=False)}),
-    SequenceId.I_CLOSED_NONEMPTY: (1, {"closed-form": _exact(counting.closed_form_I),
-                                       "brute-force": _walk(lambda split: sum(split) - 1, True, False)}),
-}
 
 
 def _digits(value: int | Fraction) -> str:
@@ -161,19 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_count(args) -> int:
     seq: SequenceId = args.sequence
-    start, routes = ROUTES[seq]
+    routes = ROUTES[seq][1]
     method = args.method or next(iter(routes))
     if method not in routes:
-        print(
-            f"method {method!r} does not apply to sequence {seq.value}; "
-            f"valid: {', '.join(routes)}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    if args.k < start:
-        print(f"sequence {seq.value} starts at k={start}", file=sys.stderr)
-        return USAGE_ERROR
-    value = routes[method](args.k, args.cap)
+        raise ValueError(f"method {method!r} does not apply to sequence {seq.value}; valid: {', '.join(routes)}")
+    (value,) = routes[method](args.k, args.k, args.cap)
     print(f"{seq.value}({args.k}) = {_digits(value)} [{method}]")
     if seq == SequenceId.I and method == "closed-form":
         print("note: excludes the empty ordering; recurrence value is +1")
@@ -195,40 +141,30 @@ def cmd_verify(args) -> int:
 
     results = verify.run_checks(k_max=args.k_max, series_order=args.terms, cap=args.cap)
     width = max(len(r.name) for r in results)
-    failures = 0
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"{status}  {r.name.ljust(width)}  {r.detail}")
-        failures += 0 if r.ok else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 0 if failures == 0 else FAILURE
-
-
-def _export_lines(seq: SequenceId, k_max: int, fmt: str) -> str:
-    start, routes = ROUTES[seq]
-    default = next(iter(routes.values()))
-    terms = [(k, _digits(default(k, None))) for k in range(start, k_max + 1)]
-    if fmt == "b-file":
-        return "".join(f"{k} {v}\n" for k, v in terms)
-    if fmt == "csv":
-        return "k,value\n" + "".join(f"{k},{v}\n" for k, v in terms)
-    return json.dumps({"sequence": seq.value, "terms": [[k, v] for k, v in terms]}) + "\n"
+        print(f"{'PASS' if r.ok else 'FAIL'}  {r.name.ljust(width)}  {r.detail}")
+    passed = sum(r.ok for r in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else FAILURE
 
 
 def cmd_export(args) -> int:
-    seq: SequenceId = args.sequence
-    start = ROUTES[seq][0]
-    if args.k_max < start:
-        print(f"sequence {seq.value} starts at k={start}", file=sys.stderr)
-        return USAGE_ERROR
-    _write(args.output, _export_lines(seq, args.k_max, args.format))
+    start, routes = ROUTES[args.sequence]
+    values = next(iter(routes.values()))(start, args.k_max, None)
+    terms = [(k, _digits(value)) for k, value in enumerate(values, start)]
+    if args.format == "b-file":
+        text = "".join(f"{k} {v}\n" for k, v in terms)
+    elif args.format == "csv":
+        text = "k,value\n" + "".join(f"{k},{v}\n" for k, v in terms)
+    else:
+        text = json.dumps({"sequence": args.sequence.value, "terms": [[k, v] for k, v in terms]}) + "\n"
+    _write(args.output, text)
     return 0
 
 
 def cmd_series(args) -> int:
     if args.terms < 0:
-        print(f"--terms must be nonnegative, got {args.terms}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--terms must be nonnegative, got {args.terms}")
     from homcount import series
 
     builders = {"H": series.egf_H, "f": series.egf_f, "fubini": series.egf_fubini}
@@ -330,7 +266,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # keeps the flush at exit silent
+        return FAILURE
     except ValueError as exc:  # BruteForceCapError and InvalidStructureError among them
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR

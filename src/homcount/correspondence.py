@@ -132,7 +132,7 @@ def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
 
 
 def _check_extended_nat(name: str, value: ExtendedNat) -> None:
-    if value == math.inf or (isinstance(value, int) and value >= 0):
+    if value == math.inf or (type(value) is int and value >= 0):  # a bool is not a count
         return
     raise ValueError(f"{name} must be a nonnegative integer or math.inf, got {value!r}")
 

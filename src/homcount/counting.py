@@ -15,8 +15,10 @@ starts at one point, so it counts only the NONEMPTY constrained models:
 closed_form_I(k) + 1 == count_I(k). Both values are exposed on purpose; the
 recurrence value is the one matching the reference term lists.
 
-The reference term list of I starts at k=1, every other list at k=0; the CLI's
-route table (cli.ROUTES) records each sequence's first index beside its methods.
+The reference term list of I starts at k=1, every other list at k=0; the route
+table (routes.ROUTES) records each sequence's first index beside its methods,
+and bounds the index its recurrence and closed-form routes accept. These
+functions themselves take any nonnegative k.
 
 The recurrences K1, J and Fubini are three combinatorics.GrowingTable
 instances, each with its own list and lock. Each recurrence is a binomial

@@ -12,9 +12,12 @@ CheckResult. A check over an index range writes its detail from that range
 (`_span`). A check that raises is a failed check whose detail names the
 exception; the loop goes on to the next one.
 
-The table is built on each call, and functions under test are looked up
-through their modules then, so a deliberately corrupted function (in tests)
-is caught by the right check.
+Each route-agreement check compares the term lists of two routes of
+routes.ROUTES (`_agree`, `_route`), the table that `count` and `export` print
+from, so a broken route fails a check here. The battery is built on each call
+and reads ROUTES, and every other function under test through its module,
+when it runs, so a deliberately corrupted function or route (in tests) is
+caught by the right check.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from homcount import asymptotics, combinatorics, correspondence, counting, enumeration, kernel, series
+from homcount import asymptotics, combinatorics, correspondence, counting, enumeration, kernel, routes, series
 from homcount.model import FiniteColoredOrdering
 
 I_REFERENCE = [
@@ -48,27 +51,33 @@ def _span(indices: range) -> str:
     return f"k={indices.start}..{indices.stop - 1}"
 
 
-def _exact(indices: range, compute, expect, prefix: str = ""):
-    """A check that compute(k) == expect(k) for every k in `indices`; it reports the first mismatch."""
+def _agree(indices: range, compute, expect, prefix: str = ""):
+    """A check that the term lists compute(indices) and expect(indices) agree; it reports the first mismatch.
+    An empty range asks for no terms, since a route refuses an empty request below its first index."""
 
     def check():
-        for k in indices:
-            got, want = compute(k), expect(k)
-            if got != want:
-                return False, f"k={k}: got {got}, expected {want}"
+        if indices:
+            for k, got, want in zip(indices, compute(indices), expect(indices), strict=True):
+                if got != want:
+                    return False, f"k={k}: got {got}, expected {want}"
         return True, f"{prefix}{_span(indices)} exact"
 
     return check
 
 
-def _egf_counts(build, reference, order: int):
-    """k! times coefficient k of build(order) against reference(k), k = 0..order."""
+def _route(seq: str, method: str, cap: int | None):
+    """The term lists of routes.ROUTES' `method` route for sequence `seq`, read from the table when called."""
+    return lambda r: routes.ROUTES[routes.SequenceId(seq)][1][method](r.start, r.stop - 1, cap)
 
-    def check():
-        s = build(order)
-        return _exact(range(order + 1), lambda k: series.egf_counts(s, k), reference)()
 
-    return check
+def _versus(indices: range, seq: str, method: str, cap: int | None, against: str = "recurrence"):
+    """A check that routes `method` and `against` of sequence `seq` agree over `indices`."""
+    return _agree(indices, _route(seq, method, cap), _route(seq, against, cap))
+
+
+def _pairs(first, second):
+    """The term lists of two routes, zipped into (first, second) pairs."""
+    return lambda r: list(zip(first(r), second(r), strict=True))
 
 
 def _bijection(indices: range):
@@ -185,35 +194,33 @@ def run_checks(k_max: int = 25, series_order: int = 25, cap: int | None = None) 
             raise ValueError(f"{arg} must be nonnegative, got {value}")
     if series_order > series.MAX_ORDER:
         raise ValueError(f"series_order must be at most {series.MAX_ORDER}, got {series_order}")
-    # every walk below stays at k <= brute_limit, so it calls the kernel without a cap check
+    # every walk below stays at k <= brute_limit, so the brute-force routes' cap check passes
     brute_limit = min(k_max, kernel.brute_force_cap(cap))
     i_terms, l_terms = range(1, min(13, k_max) + 1), range(min(12, k_max) + 1)
     walks, splits = range(min(7, brute_limit) + 1), range(min(6, brute_limit) + 1)
     egf_top = min(series_order, k_max)
 
     checks = [
-        ("I-sequence reference terms", _exact(i_terms, counting.count_I, lambda k: I_REFERENCE[k - 1])),
-        ("L-sequence reference terms", _exact(l_terms, counting.count_L, lambda k: L_REFERENCE[k])),
-        ("I brute-force equivalence",
-         _exact(walks[1:], lambda k: kernel.count_models(k, True), counting.count_I)),
-        ("L brute-force equivalence",
-         _exact(walks, lambda k: kernel.count_models(k, False), counting.count_L)),
+        ("I-sequence reference terms",
+         _agree(i_terms, lambda r: list(map(counting.count_I, r)), lambda r: I_REFERENCE[r.start - 1:r.stop - 1])),
+        ("L-sequence reference terms",
+         _agree(l_terms, lambda r: list(map(counting.count_L, r)), lambda r: L_REFERENCE[r.start:r.stop])),
+        ("I brute-force equivalence", _versus(walks[1:], "I", "brute-force", cap)),
+        ("L brute-force equivalence", _versus(walks, "L", "brute-force", cap)),
         ("closed-form offset",
-         _exact(i_terms, lambda k: counting.closed_form_I(k) + 1, counting.count_I,
-                prefix="closed_form_I(k)+1 = count_I(k), ")),
+         _agree(i_terms, lambda r: [term + 1 for term in _route("I", "closed-form", cap)(r)],
+                _route("I", "recurrence", cap), prefix="closed_form_I(k)+1 = count_I(k), ")),
         ("closed-form nonempty brute force",
-         _exact(walks[1:], counting.closed_form_I, lambda k: kernel.count_models(k, True) - 1)),
-        ("EGF H coefficient counts", _egf_counts(series.egf_H, counting.count_L, egf_top)),
-        ("EGF f coefficient counts", _egf_counts(series.egf_f, counting.j_surjective, egf_top)),
-        ("EGF fubini coefficient counts", _egf_counts(series.egf_fubini, counting.fubini, egf_top)),
+         _versus(walks[1:], "I_closed_nonempty", "closed-form", cap, against="brute-force")),
+        ("EGF H coefficient counts", _versus(range(egf_top + 1), "L", "egf", cap)),
+        ("EGF f coefficient counts", _versus(range(egf_top + 1), "J_surjective", "egf", cap)),
+        ("EGF fubini coefficient counts", _versus(range(egf_top + 1), "Fubini", "egf", cap)),
         ("EGF product identity", lambda: _egf_product(egf_top)),
         ("surjective split (constrained)",
-         _exact(splits, lambda k: kernel.root_split(k, True, True),
-                lambda k: (counting.k1(k), counting.k2(k)))),
-        ("surjective split (unconstrained)",
-         _exact(splits, lambda k: kernel.count_surjective(k, False), counting.j_surjective)),
-        ("ordered set partition counts",
-         _exact(walks, kernel.count_ordered_set_partitions, counting.fubini)),
+         _agree(splits, _pairs(_route("K1", "brute-force", cap), _route("K2", "brute-force", cap)),
+                _pairs(_route("K1", "recurrence", cap), _route("K2", "recurrence", cap)))),
+        ("surjective split (unconstrained)", _versus(splits, "J_surjective", "brute-force", cap)),
+        ("ordered set partition counts", _versus(walks, "Fubini", "brute-force", cap)),
         ("asymptotic constants", _asymptotic_constants),
         ("A(k) reference terms", lambda: _a_terms(range(min(4, k_max) + 1))),
     ]

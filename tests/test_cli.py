@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcount import correspondence, counting, kernel, verify
-from homcount.cli import ROUTES, main
+from homcount import correspondence, counting, verify
+from homcount.cli import main
 from homcount.counting import SequenceId
 from homcount.kernel import BruteForceCapError
 from homcount.model import ColoredDescription, ColorShuffle, OrderingDescription, Shuffle
+from homcount.routes import ROUTES
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli.json"
 
@@ -44,7 +45,8 @@ def run_on_stdin(argv, text):
 
 def test_default_routes():
     def default(seq, k):
-        return next(iter(ROUTES[seq][1].values()))(k, None)
+        (value,) = next(iter(ROUTES[seq][1].values()))(k, k, None)
+        return value
 
     assert default(SequenceId.I, 5) == 5487
     assert default(SequenceId.L, 6) == 131244
@@ -56,7 +58,7 @@ def test_default_routes():
 def test_every_brute_force_route_applies_the_cap():
     for seq, (_, routes) in ROUTES.items():
         with pytest.raises(BruteForceCapError, match="cap of 3"):
-            routes["brute-force"](4, 3)
+            routes["brute-force"](4, 4, 3)
 
 
 def test_golden_commands_reproduce_their_bytes(monkeypatch):
@@ -256,6 +258,33 @@ def test_brute_force_count_beyond_the_bound_is_usage_error(capsys):
     assert "beyond k=12" in err and "Traceback" not in err
 
 
+def test_recurrence_routes_refuse_above_their_bound(capsys):
+    # a million would grow the tables for hours; the refusal comes before any of them grows
+    for argv, got in ((["count", "--sequence", "I", "--k", "1000000"], 1000000),
+                      (["export", "--sequence", "L", "--k-max", "2001", "--format", "csv"], 2001)):
+        assert run(capsys, *argv) == (2, "", f"recurrence not supported beyond k=2000, got {got}\n")
+
+
+def test_closed_form_routes_refuse_above_their_bound(capsys):
+    for argv in (["count", "--sequence", "I", "--k", "101", "--method", "closed-form"],
+                 ["export", "--sequence", "I_closed_nonempty", "--k-max", "101", "--format", "b-file"]):
+        assert run(capsys, *argv) == (2, "", "closed-form not supported beyond k=100, got 101\n")
+
+
+def test_a_closed_stdout_ends_quietly():
+    # `homcount enumerate --k 5 | head -1`: about 0.5 MB of output, more than a pipe holds, and the reader
+    # leaves after the first line
+    src = str(Path(counting.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "homcount", "enumerate", "--k", "5"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait() == 1
+
+
 # each series route refuses an order above series.MAX_ORDER (120) before building anything
 @pytest.mark.parametrize(
     "argv,message",
@@ -306,10 +335,10 @@ def test_verify_detects_corrupted_recurrence(capsys, monkeypatch):
 
 
 def test_verify_reports_a_raising_check_and_goes_on(capsys, monkeypatch):
-    def broken(k, **kwargs):
+    def broken(lo, hi, cap):
         raise RuntimeError("walk broke")
 
-    monkeypatch.setattr(kernel, "count_ordered_set_partitions", broken)
+    monkeypatch.setitem(ROUTES[SequenceId.FUBINI][1], "brute-force", broken)
     code, out, _ = run(capsys, "verify", "--k-max", "4")
     assert code == 1
     lines = out.splitlines()
@@ -321,6 +350,21 @@ def test_verify_reports_a_raising_check_and_goes_on(capsys, monkeypatch):
     after = names[names.index("ordered set partition counts") + 1:]
     assert after and all(any(name in line for line in lines) for name in after)
     assert lines[-1] == f"{len(names) - 1}/{len(names)} checks passed"
+
+
+_ROUTE_ENTRIES = [(seq, method) for seq, (_, methods) in ROUTES.items() for method in methods]
+
+
+# every entry of the route table feeds a route-agreement check, so one wrong term fails verify
+@pytest.mark.parametrize("seq,method", _ROUTE_ENTRIES, ids=[f"{seq.value}-{method}" for seq, method in _ROUTE_ENTRIES])
+def test_verify_catches_a_corrupted_route(monkeypatch, seq, method):
+    healthy = ROUTES[seq][1][method]
+
+    def corrupted(lo, hi, cap):
+        return [term + (k == 2) for k, term in enumerate(healthy(lo, hi, cap), lo)]
+
+    monkeypatch.setitem(ROUTES[seq][1], method, corrupted)
+    assert not all(r.ok for r in verify.run_checks(k_max=4, series_order=8, cap=4))
 
 
 def test_round_trip_check_fails_on_an_invalid_expansion(monkeypatch):
@@ -577,10 +621,15 @@ def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc, mess
         (["count", "--sequence", "L", "--k", "0", "--method", "brute-force", "--cap", "-1"], "",
          "cap must be nonnegative, got -1"),
         (["enumerate", "--k", "0", "--cap", "-2"], "", "cap must be nonnegative, got -2"),
+        (["count", "--sequence", "L", "--k", "3", "--method", "recurrence", "--cap", "-1"], "",
+         "cap must be nonnegative, got -1"),
+        (["count", "--sequence", "L", "--k", "3", "--method", "egf", "--cap", "-1"], "",
+         "cap must be nonnegative, got -1"),
     ],
     ids=["deep-nesting", "contract-negative-k", "contract-colored-negative-k", "expand-negative-k",
          "repeated-color", "repeated-shuffle-color", "repeated-kind", "verify-negative-terms",
-         "verify-negative-cap", "count-negative-cap", "enumerate-negative-cap"],
+         "verify-negative-cap", "count-negative-cap", "enumerate-negative-cap", "count-recurrence-negative-cap",
+         "count-egf-negative-cap"],
 )
 def test_malformed_inputs_are_usage_errors(argv, text, message):
     code, out, err = run_on_stdin(argv, text)

@@ -190,6 +190,9 @@ def test_classify_cnm_argument_validation():
         classify_cnm(d, -1, 2)
     with pytest.raises(ValueError):
         classify_cnm(d, 1.5, 2)
+    for n, m in ((True, 0), (0, False)):  # a bool is refused, not read as 1 or 0
+        with pytest.raises(ValueError, match="must be a nonnegative integer or math.inf, got (True|False)$"):
+            classify_cnm(d, n, m)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
