@@ -10,10 +10,13 @@ is exact arbitrary-precision arithmetic.
 
 Importing the package loads none of its modules. Each name in __all__, and
 each submodule, is imported on first attribute access (PEP 562), so the CLI
-and scripts that use one layer do not pay for the others.
+and scripts that use one layer do not pay for the others. Submodules are the
+module files found in the package directory, so a new module needs no entry
+here; __main__ is never one, since importing it runs the CLI.
 """
 
 from importlib import import_module
+from importlib.util import find_spec
 
 # defining module -> the names of __all__ it provides, in __all__ order
 _EXPORTS = {
@@ -56,21 +59,6 @@ _EXPORTS = {
     ],
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset({
-    "_countwalk_py",
-    "asymptotics",
-    "cli",
-    "combinatorics",
-    "correspondence",
-    "counting",
-    "enumeration",
-    "kernel",
-    "model",
-    "routes",
-    "series",
-    "verify",
-})
-
 __all__ = list(_ORIGIN)
 
 __version__ = "0.1.0"
@@ -79,8 +67,8 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     if name in _ORIGIN:
         value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
-    elif name in _SUBMODULES:
-        value = import_module(f"{__name__}.{name}")
+    elif name.isidentifier() and not name.startswith("__") and find_spec(f"{__name__}.{name}"):
+        value = import_module(f"{__name__}.{name}")  # a module file, never __main__: importing that runs the CLI
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value  # later lookups skip this hook
@@ -88,4 +76,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _ORIGIN.keys() | _SUBMODULES)
+    from pkgutil import iter_modules
+
+    submodules = {m.name for m in iter_modules(__path__) if not m.name.startswith("__")}
+    return sorted(set(globals()) | _ORIGIN.keys() | submodules)

@@ -17,6 +17,7 @@ from homcount.counting import count_I, count_L, j_surjective
 
 _GROWTH_BASE = 2.123  # base of the proven I(k) growth bound
 _MAX_RATIO_K = 170  # log-factorial range used by the ratio table
+_GRID_SAMPLES = 2000  # growth_bound_grid_check's grid steps over (0, 1/2)
 
 
 def lambert_w0(t: float) -> float:
@@ -92,14 +93,9 @@ def approx_A(k: int) -> float:
         return math.inf
 
 
-def growth_bound_M() -> float:
-    """The exact maximized growth-bound expression, approximately 2.12243."""
-    return constants().M
-
-
-def growth_bound_grid_check(samples: int = 2000) -> float:
-    """Grid maximum of the bound expression over (0, 1/2); cross-check for p_star."""
-    return max((_growth_bound(0.5 * i / samples) for i in range(1, samples)), default=0.0)
+def growth_bound_grid_check() -> float:
+    """Grid maximum of the bound expression over (0, 1/2); cross-check for p_star and M."""
+    return max(_growth_bound(0.5 * i / _GRID_SAMPLES) for i in range(1, _GRID_SAMPLES))
 
 
 def bound_ratio_I(k: int) -> float:

@@ -199,12 +199,16 @@ def cmd_asymptotic(args) -> int:
 
 def _read_json(path: str) -> dict:
     """The JSON document on stdin (path -) or in the file at `path`; a path that
-    cannot be read is an OSError naming it, which main reports with exit 1."""
+    cannot be read is an OSError naming it, which main reports with exit 1, and
+    a syntax error is a ValueError naming the input (exit 2)."""
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except json.JSONDecodeError as exc:
+        where = "on stdin" if path == "-" else f"in {path}"
+        raise ValueError(f"invalid JSON {where}: {exc}") from None
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
     except OSError as exc:

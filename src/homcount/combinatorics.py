@@ -6,14 +6,14 @@ which is always stored in lowest terms with a positive denominator. Nothing
 here ever rounds.
 
 factorial and binomial are the standard library's math.factorial and math.comb
-behind a nonnegativity check, so verify's Pascal identity check tests an
-implementation that was not built from that identity. The stdlib has no
-Stirling numbers: stirling2 reads its rows from a GrowingTable, because
-counting.closed_form_I and verify's Stirling property suite re-query small
-cells heavily. GrowingTable is also the type of counting's recurrence tables,
-but the class keeps no state: every instance owns its list, its lock and the
-function that computes its next entry, so the recurrences and the closed form
-that checks them share no entry.
+themselves (both refuse a negative argument with a ValueError), so verify's
+Pascal identity check tests an implementation that was not built from that
+identity. The stdlib has no Stirling numbers: stirling2 reads its rows from a
+GrowingTable, because counting.closed_form_I and verify's Stirling property
+suite re-query small cells heavily. GrowingTable is also the type of
+counting's recurrence tables, but the class keeps no state: every instance
+owns its list, its lock and the function that computes its next entry, so the
+recurrences and the closed form that checks them share no entry.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from fractions import Fraction
 
 BigCount = int
 ExactRational = Fraction
+
+factorial = math.factorial  # n! for n >= 0
+binomial = math.comb  # C(n, r) for n, r >= 0; zero when r > n
 
 
 class GrowingTable:
@@ -51,20 +54,6 @@ class GrowingTable:
                 while len(self._values) <= n:
                     self._values.append(self._next_value(len(self._values), self._values[-1]))
             return self._values[n]
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial of negative argument {n}")
-    return math.factorial(n)
-
-
-def binomial(n: int, r: int) -> int:
-    """C(n, r); zero when r > n."""
-    if n < 0 or r < 0:
-        raise ValueError(f"binomial arguments must be nonnegative, got ({n}, {r})")
-    return math.comb(n, r)
 
 
 def _stirling_row(n: int, prev: list[int]) -> list[int]:

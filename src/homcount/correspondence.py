@@ -28,7 +28,6 @@ import itertools
 import math
 from typing import Union
 
-from homcount.kernel import BruteForceCapError
 from homcount.model import (
     BlockKind,
     ColoredDescription,
@@ -52,7 +51,7 @@ from homcount.model import (
     validate_model,
 )
 
-HOMOGENEITY_CAP = 8
+HOMOGENEITY_CAP = 8  # the most points is_finite_homogeneous searches
 
 ExtendedNat = Union[int, float]  # a natural number or math.inf
 
@@ -189,16 +188,17 @@ def _automorphisms(o: FiniteColoredOrdering) -> list[tuple[int, ...]]:
     return autos
 
 
-def is_finite_homogeneous(o: FiniteColoredOrdering, cap: int = HOMOGENEITY_CAP) -> bool:
+def is_finite_homogeneous(o: FiniteColoredOrdering) -> bool:
     """Brute-force homogeneity of an explicit finite colored ordering.
 
     Every pair of same-colored subsequences must extend to an automorphism.
     Equivalent to all colors being pairwise distinct; the equivalence is a
-    tested property, not something this function assumes.
+    tested property, not something this function assumes. An ordering of more
+    than HOMOGENEITY_CAP points is refused with a ValueError.
     """
     size = len(o.colors)
-    if size > cap:
-        raise BruteForceCapError(size, cap)
+    if size > HOMOGENEITY_CAP:
+        raise ValueError(f"is_finite_homogeneous searches at most {HOMOGENEITY_CAP} points, got {size}")
     autos = _automorphisms(o)
     indices = range(size)
     for length in range(size + 1):

@@ -10,10 +10,12 @@ refinements:
   use every color; fubini(k) counts the all-S-point surjective models, which
   are exactly the ordered set partitions of a k-set.
 
-closed_form_I evaluates the direct summation formula verbatim. Its outer sum
-starts at one point, so it counts only the NONEMPTY constrained models:
-closed_form_I(k) + 1 == count_I(k). Both values are exposed on purpose; the
-recurrence value is the one matching the reference term lists.
+closed_form_I evaluates the direct summation formula verbatim, and
+closed_form_I_terms evaluates it for a range of k, building the k-free inner
+sums once. Its sum starts at one point, so it counts only the NONEMPTY
+constrained models: closed_form_I(k) + 1 == count_I(k). Both values are
+exposed on purpose; the recurrence value is the one matching the reference
+term lists.
 
 The reference term list of I starts at k=1, every other list at k=0; the route
 table (routes.ROUTES) records each sequence's first index beside its methods,
@@ -130,28 +132,29 @@ def count_I(k: int) -> int:
 
 
 def closed_form_I(k: int) -> int:
-    """Direct summation for the nonempty constrained models: count_I(k) - 1.
+    """Direct summation for the nonempty constrained models: count_I(k) - 1."""
+    return closed_form_I_terms(k, k)[0]
 
-    m runs over the colors actually used, n over the number of points, r over
-    the number of R-points (never two in a row, so at most ceil(n/2)); the
-    inner product picks the R positions, their colors and order, the order of
-    the S color sets, and the partition of the remaining colors into them.
+
+def closed_form_I_terms(lo: int, hi: int) -> list[int]:
+    """[closed_form_I(lo), ..., closed_form_I(hi)]: sum over m of C(k, m) inner(m).
+
+    inner(m) counts the nonempty models that use all of m given colors, so it
+    does not depend on k and is computed once per call for every m <= hi. In
+    it n runs over the number of points and r over the number of R-points
+    (never two in a row, so at most ceil(n/2)); the product picks the R
+    positions, their colors and order, the order of the S color sets, and the
+    partition of the remaining colors into them.
     """
-    _require_nonnegative(k)
-    total = 0
-    for m in range(1, k + 1):
-        inner = 0
-        for n in range(1, m + 1):
-            for r in range(ceil(n / 2) + 1):
-                inner += (
-                    binomial(n - r + 1, r)
-                    * binomial(m, r)
-                    * factorial(r)
-                    * factorial(n - r)
-                    * stirling2(m - r, n - r)
-                )
-        total += binomial(k, m) * inner
-    return total
+    _require_nonnegative(lo)
+    inner = [0]  # no nonempty model uses no color
+    for m in range(1, hi + 1):
+        inner.append(sum(
+            binomial(n - r + 1, r) * binomial(m, r) * factorial(r) * factorial(n - r) * stirling2(m - r, n - r)
+            for n in range(1, m + 1)
+            for r in range(ceil(n / 2) + 1)
+        ))
+    return [sum(binomial(k, m) * inner[m] for m in range(k + 1)) for k in range(lo, hi + 1)]
 
 
 def j_surjective(k: int) -> int:

@@ -6,9 +6,10 @@ Models are produced shortest first, then lexicographically by point encoding
 order of model.canonical_compare. One generator, _stream, serves all three
 public streams; it recurses over the next point and reads that point's
 candidates from a per-mask move table (_point_moves) of (point, rest, size)
-triples in canonical order, sorted by model.point_key. Each RPoint and SPoint
-is built once per color or color mask and shared by every table and every
-model (points are frozen).
+triples in canonical order, sorted by model.point_key. The moves come from
+kernel._children, the one statement of the move rule that the counting walk
+reads too. Each RPoint and SPoint is built once per color or color mask and
+shared by every table and every model (points are frozen).
 
 Counting never materializes models: it goes through homcount.kernel, which
 walks the same choice tree and splits the surjective models into S-first and
@@ -45,20 +46,13 @@ def _s_point(mask: int) -> SPoint:
 @cache
 def _point_moves(avail: int) -> tuple[tuple, tuple]:
     """(R-moves, S-moves) of a model whose free colors are `avail`, each a tuple
-    of (point, rest, size) in canonical order. Points are shared between tables."""
-    r_moves = []
-    m = avail
-    while m:
-        low = m & -m
-        m ^= low
-        r_moves.append((_r_point(low), avail ^ low, 1))
-    s_moves = []
-    sub = avail
-    while sub:  # every nonempty submask, then into canonical order
-        s_moves.append((_s_point(sub), avail ^ sub, sub.bit_count()))
-        sub = (sub - 1) & avail
+    of (point, rest, size) in canonical order. The moves are kernel._children's;
+    points are shared between tables."""
+    r_rests, s_rests = kernel._children(avail)
+    r_moves = tuple((_r_point(avail ^ rest), rest, 1) for rest in r_rests)
+    s_moves = [(_s_point(avail ^ rest), rest, (avail ^ rest).bit_count()) for rest in s_rests]
     s_moves.sort(key=lambda move: point_key(move[0]))
-    return tuple(r_moves), tuple(s_moves)
+    return r_moves, tuple(s_moves)
 
 
 def _stream(k: int, constrained: bool, surjective: bool, r_points: bool) -> Iterator[MulticoloredModel]:

@@ -3,9 +3,10 @@
 Every brute-force count in the package comes from root_split, which walks the
 full tree of models over a color bitmask. A model's children are read from a
 per-mask move table (`_moves`), built the first time its free-color mask is
-reached and shared by every walk. A child that leaves no free color is a model
-without extensions and a child that leaves one free color c has at most three
-models in its subtree (itself unless surjective, S{c}, and R(c) when an
+reached and shared by every walk. The move rule itself is `_children`, which
+enumeration's model streams read too. A child that leaves no free color is a
+model without extensions and a child that leaves one free color c has at most
+three models in its subtree (itself unless surjective, S{c}, and R(c) when an
 R-point may come next), so both are counted in their parent instead of being
 visited. Every other model is one recursion call. No count is memoized on
 purpose: these counts are the independent oracle for the recurrence formulas,
@@ -97,10 +98,10 @@ def _fold(rests) -> tuple[int, int, tuple[int, ...]]:
     return done, one, tuple(deep)
 
 
-@cache
-def _moves(avail: int) -> tuple:
-    """The R-move and S-move children of a model whose free colors are `avail`,
-    folded: (r_done, r_one, r_deep, s_done, s_one, s_deep)."""
+def _children(avail: int) -> tuple[list[int], list[int]]:
+    """The move rule of the model: the free colors left after each R-move (one per
+    free color, lowest first) and each S-move (one per nonempty submask of `avail`,
+    largest first) of a model whose free colors are `avail`."""
     r_rests = []
     m = avail
     while m:
@@ -112,6 +113,14 @@ def _moves(avail: int) -> tuple:
     while sub:
         s_rests.append(avail ^ sub)
         sub = (sub - 1) & avail
+    return r_rests, s_rests
+
+
+@cache
+def _moves(avail: int) -> tuple:
+    """The R-move and S-move children of a model whose free colors are `avail`,
+    folded: (r_done, r_one, r_deep, s_done, s_one, s_deep)."""
+    r_rests, s_rests = _children(avail)
     return _fold(r_rests) + _fold(s_rests)
 
 

@@ -4,17 +4,19 @@ ROUTES maps each sequence to the first index of its term list and its
 methods, default method first. A method is a batch function
 terms(lo, hi, cap) -> [term lo, ..., term hi]:
 
-* a recurrence or the closed form calls its counting function once per k;
+* a recurrence calls its counting function once per k, and the closed form
+  calls counting.closed_form_I_terms once for the whole range;
 * an EGF route builds one series to order hi and reads every term from it;
 * a brute-force route applies the cap to hi (kernel.check_cap), then runs one
   kernel.root_split walk per k.
 
 Every route refuses an index below its sequence's first index and a negative
-cap. A recurrence refuses hi above BOUNDS["recurrence"] and the closed form hi
-above BOUNDS["closed-form"], before any table grows; the counting functions
-themselves stay unbounded. The EGF builders and the walk carry their own
-bounds (series.MAX_ORDER, kernel.MAX_K). Each route looks its function up on
-its module when it runs, so a function patched there is the one it calls.
+cap, and a method with an entry in BOUNDS refuses hi above it (a recurrence
+above BOUNDS["recurrence"], the closed form above BOUNDS["closed-form"]), all
+before any table grows; the counting functions themselves stay unbounded. The
+EGF builders and the walk carry their own bounds (series.MAX_ORDER,
+kernel.MAX_K). Each route looks its function up on its module when it runs,
+so a function patched there is the one it calls.
 
 `count` prints terms(k, k, cap), `export` lists the default route from the
 first index, and verify's route-agreement checks compare two routes' term
@@ -31,23 +33,23 @@ from operator import itemgetter
 from homcount import counting, kernel
 from homcount.counting import SequenceId
 
-# The largest k of each exact method. `count` in a fresh process, Python 3.11, 2-core VM:
-# I(1500) 1.5 s, I(2000) 3.1 s and 30 MB peak by recurrence; closed_form_I for
-# k = 1..60 0.5 s and for k = 1..100 3.2 s, as an export to 60 or 100 computes it.
+# The largest k of each exact method. Python 3.11, 2-core VM: `count` in a fresh process takes
+# I(1500) 1.5 s, I(2000) 3.1 s and 30 MB peak by recurrence. The closed form's inner sums grow about
+# as k^5: closed_form_I_terms(1, k) takes 0.13 s to k = 100, 0.9 s to 150 and 3.5 s to 200 in
+# process, and an export to 100 takes 0.3 s in a fresh process.
 BOUNDS = {"recurrence": 2000, "closed-form": 100}
 
 Terms = Callable[[int, int, int | None], list[int]]  # terms(lo, hi, cap)
 
 
-def _exact(name: str, method: str = "recurrence") -> Terms:
-    """counting.<name>(k) for each k, refusing hi above BOUNDS[method]."""
+def _exact(name: str) -> Terms:
+    """counting.<name>(k) for each k."""
+    return lambda lo, hi, cap: [getattr(counting, name)(k) for k in range(lo, hi + 1)]
 
-    def terms(lo: int, hi: int, cap: int | None) -> list[int]:
-        if hi > BOUNDS[method]:
-            raise ValueError(f"{method} not supported beyond k={BOUNDS[method]}, got {hi}")
-        return [getattr(counting, name)(k) for k in range(lo, hi + 1)]
 
-    return terms
+def _closed_form(lo: int, hi: int, cap: int | None) -> list[int]:
+    """counting.closed_form_I_terms(lo, hi): one set of inner sums for the whole range."""
+    return counting.closed_form_I_terms(lo, hi)
 
 
 def _egf(builder: str) -> Terms:
@@ -72,20 +74,24 @@ def _walk(pick: Callable, constrained: bool, surjective: bool, r_points: bool = 
     return terms
 
 
-def _checked(seq: SequenceId, start: int, terms: Terms, lo: int, hi: int, cap: int | None) -> list[int]:
-    """terms(lo, hi, cap), refusing an index below `start` and a negative cap first."""
+def _checked(
+    seq: SequenceId, start: int, method: str, terms: Terms, lo: int, hi: int, cap: int | None
+) -> list[int]:
+    """terms(lo, hi, cap), refusing an index below `start`, a negative cap and hi above BOUNDS[method] first."""
     if min(lo, hi) < start:
         raise ValueError(f"sequence {seq.value} starts at k={start}")
     if cap is not None:
         kernel.brute_force_cap(cap)  # refuses a negative cap, whatever the method
+    if method in BOUNDS and hi > BOUNDS[method]:
+        raise ValueError(f"{method} not supported beyond k={BOUNDS[method]}, got {hi}")
     return terms(lo, hi, cap)
 
 
 # sequence -> (first index of its term list, {method: terms}), default method first
 ROUTES: dict[SequenceId, tuple[int, dict[str, Terms]]] = {
-    seq: (start, {method: partial(_checked, seq, start, terms) for method, terms in methods.items()})
+    seq: (start, {method: partial(_checked, seq, start, method, terms) for method, terms in methods.items()})
     for seq, start, methods in [
-        (SequenceId.I, 1, {"recurrence": _exact("count_I"), "closed-form": _exact("closed_form_I", "closed-form"),
+        (SequenceId.I, 1, {"recurrence": _exact("count_I"), "closed-form": _closed_form,
                            "brute-force": _walk(sum, True, False)}),
         (SequenceId.L, 0, {"recurrence": _exact("count_L"), "egf": _egf("egf_H"),
                            "brute-force": _walk(sum, False, False)}),
@@ -95,7 +101,7 @@ ROUTES: dict[SequenceId, tuple[int, dict[str, Terms]]] = {
         (SequenceId.K2, 0, {"recurrence": _exact("k2"), "brute-force": _walk(itemgetter(1), True, True)}),
         (SequenceId.FUBINI, 0, {"recurrence": _exact("fubini"), "egf": _egf("egf_fubini"),
                                 "brute-force": _walk(sum, False, True, r_points=False)}),
-        (SequenceId.I_CLOSED_NONEMPTY, 1, {"closed-form": _exact("closed_form_I", "closed-form"),
+        (SequenceId.I_CLOSED_NONEMPTY, 1, {"closed-form": _closed_form,
                                            "brute-force": _walk(lambda split: sum(split) - 1, True, False)}),
     ]
 }

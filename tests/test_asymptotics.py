@@ -9,7 +9,6 @@ from homcount.asymptotics import (
     bound_ratio_I,
     constants,
     growth_bound_grid_check,
-    growth_bound_M,
     lambert_w0,
     ratio_report,
 )
@@ -96,8 +95,8 @@ def test_p_star_is_a_maximum():
 
 
 def test_growth_bound_against_grid_search():
-    assert growth_bound_M() >= growth_bound_grid_check() - 1e-9
-    assert growth_bound_M() == pytest.approx(growth_bound_grid_check(), abs=1e-4)
+    assert constants().M >= growth_bound_grid_check() - 1e-9
+    assert constants().M == pytest.approx(growth_bound_grid_check(), abs=1e-4)
 
 
 def test_approx_A_reference_terms():

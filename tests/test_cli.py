@@ -625,13 +625,20 @@ def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc, mess
          "cap must be nonnegative, got -1"),
         (["count", "--sequence", "L", "--k", "3", "--method", "egf", "--cap", "-1"], "",
          "cap must be nonnegative, got -1"),
+        (["expand"], "", "invalid JSON on stdin: Expecting value: line 1 column 1 (char 0)"),
+        (["contract", "--k", "3", "--input", "truncated.json"], '{"segments": [{"type": "block"',
+         "invalid JSON in truncated.json: Expecting ',' delimiter: line 1 column 31 (char 30)"),
     ],
     ids=["deep-nesting", "contract-negative-k", "contract-colored-negative-k", "expand-negative-k",
          "repeated-color", "repeated-shuffle-color", "repeated-kind", "verify-negative-terms",
          "verify-negative-cap", "count-negative-cap", "enumerate-negative-cap", "count-recurrence-negative-cap",
-         "count-egf-negative-cap"],
+         "count-egf-negative-cap", "empty-stdin", "truncated-file"],
 )
-def test_malformed_inputs_are_usage_errors(argv, text, message):
+def test_malformed_inputs_are_usage_errors(tmp_path, monkeypatch, argv, text, message):
+    if "--input" in argv:  # the row's text is the named file's, and stdin stays empty
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / argv[argv.index("--input") + 1]).write_text(text)
+        text = ""
     code, out, err = run_on_stdin(argv, text)
     assert code == 2
     assert out == ""

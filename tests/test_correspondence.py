@@ -17,7 +17,7 @@ from homcount.correspondence import (
     expand_model,
     is_finite_homogeneous,
 )
-from homcount.enumeration import BruteForceCapError, enumerate_models
+from homcount.enumeration import enumerate_models
 from homcount.model import (
     ColoredDescription,
     ColorPoint,
@@ -215,7 +215,7 @@ def test_is_finite_homogeneous_examples():
 
 
 def test_is_finite_homogeneous_cap():
-    with pytest.raises(BruteForceCapError):
+    with pytest.raises(ValueError, match="^is_finite_homogeneous searches at most 8 points, got 9$"):
         is_finite_homogeneous(FiniteColoredOrdering([1] * 9))
 
 

@@ -14,6 +14,7 @@ from homcount import counting, kernel
 from homcount.combinatorics import binomial
 from homcount.counting import (
     closed_form_I,
+    closed_form_I_terms,
     count_I,
     count_L,
     fubini,
@@ -60,6 +61,14 @@ def test_closed_form_examples():
 def test_closed_form_is_count_I_minus_one():
     for k in range(1, 14):
         assert closed_form_I(k) + 1 == count_I(k)
+
+
+def test_closed_form_terms_is_closed_form_per_k():
+    for lo, hi in ((0, 0), (0, 6), (9, 9), (1, 60)):
+        assert closed_form_I_terms(lo, hi) == [closed_form_I(k) for k in range(lo, hi + 1)]
+    assert closed_form_I_terms(1, 60) == [count_I(k) - 1 for k in range(1, 61)]
+    with pytest.raises(ValueError, match="^sequence index must be nonnegative, got -1$"):
+        closed_form_I_terms(-1, 3)
 
 
 def test_closed_form_counts_nonempty_models():

@@ -36,6 +36,14 @@ def test_the_cap_keeps_its_old_import_path():
     assert homcount.BruteForceCapError is kernel.BruteForceCapError
 
 
+def test_dir_lists_every_public_name_and_module_file():
+    listed = set(dir(homcount))
+    assert set(homcount.__all__) <= listed
+    module_files = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+    assert module_files - {"__init__", "__main__"} <= listed
+    assert "__main__" not in listed
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         homcount.no_such_name
@@ -49,6 +57,13 @@ def _fresh(code):
 
 def test_submodule_attribute_after_a_bare_import():
     assert _fresh("import homcount\nprint(homcount.counting.count_I(3))\n") == "71\n"
+
+
+def test_main_is_never_an_attribute():
+    # stderr joins stdout, so a CLI run by importing __main__ (usage text, exit 2) would show or fail here
+    code = ("import sys\nsys.stderr = sys.stdout\nimport homcount\n"
+            "print(hasattr(homcount, '__main__'), hasattr(homcount, 'a.b'))\n")
+    assert _fresh(code) == "False False\n"
 
 
 def test_bare_import_loads_no_submodule():

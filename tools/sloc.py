@@ -14,4 +14,8 @@ def code_lines(path):
         if tok.type not in skip:
             lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - doc)
-print(sum(code_lines(p) for p in pathlib.Path(sys.argv[1]).glob("*.py")))  # python3 sloc.py src/homcount
+# python3 sloc.py src/homcount: one "module count" line per file, then the total
+counts = {p.stem: code_lines(p) for p in sorted(pathlib.Path(sys.argv[1]).glob("*.py"))}
+for module, count in counts.items():
+    print(module, count)
+print("total", sum(counts.values()))
