@@ -78,19 +78,14 @@ def _log_approx_A(k: int) -> float:
 def approx_A(k: int) -> float:
     """First-order approximation -k! * R * (1/Z)^(k+1) of the k-color count.
 
-    Exact double product up to k=20; log-space beyond to dodge factorial
-    overflow. Past k ~ 148 the true value exceeds the double range and the
-    result saturates to inf.
+    One double product for every supported k (170! still fits in a double).
+    From k = 147 the true value exceeds the double range and the result
+    saturates to inf.
     """
     if not 0 <= k <= _MAX_RATIO_K:
         raise ValueError(f"approx_A supports 0 <= k <= {_MAX_RATIO_K}, got {k}")
     c = constants()
-    if k <= 20:
-        return -factorial(k) * c.R * (1 / c.Z) ** (k + 1)
-    try:
-        return math.exp(_log_approx_A(k))
-    except OverflowError:
-        return math.inf
+    return -factorial(k) * c.R * (1 / c.Z) ** (k + 1)
 
 
 def growth_bound_grid_check() -> float:

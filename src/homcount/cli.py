@@ -163,8 +163,6 @@ def cmd_export(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.terms < 0:
-        raise ValueError(f"--terms must be nonnegative, got {args.terms}")
     from homcount import series
 
     builders = {"H": series.egf_H, "f": series.egf_f, "fubini": series.egf_fubini}
@@ -200,13 +198,14 @@ def cmd_asymptotic(args) -> int:
 def _read_json(path: str) -> dict:
     """The JSON document on stdin (path -) or in the file at `path`; a path that
     cannot be read is an OSError naming it, which main reports with exit 1, and
-    a syntax error is a ValueError naming the input (exit 2)."""
+    a syntax error or a file that is not UTF-8 is a ValueError naming the input
+    (exit 2)."""
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         where = "on stdin" if path == "-" else f"in {path}"
         raise ValueError(f"invalid JSON {where}: {exc}") from None
     except RecursionError:

@@ -1,9 +1,8 @@
 """Arbitrary-precision combinatorial primitives shared by every counting path.
 
-Counts are plain Python ints (``BigCount``), which are arbitrary precision;
-rational series coefficients use ``fractions.Fraction`` (``ExactRational``),
-which is always stored in lowest terms with a positive denominator. Nothing
-here ever rounds.
+Counts are plain Python ints, which are arbitrary precision; rational series
+coefficients are ``fractions.Fraction`` values, always stored in lowest terms
+with a positive denominator. Nothing here ever rounds.
 
 factorial and binomial are the standard library's math.factorial and math.comb
 themselves (both refuse a negative argument with a ValueError), so verify's
@@ -20,10 +19,6 @@ from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
-
-BigCount = int
-ExactRational = Fraction
 
 factorial = math.factorial  # n! for n >= 0
 binomial = math.comb  # C(n, r) for n, r >= 0; zero when r > n

@@ -16,7 +16,7 @@ walks the same choice tree and splits the surjective models into S-first and
 R-first at its root. count_by_enumeration, surjective_first_point_split and
 enumerate_ordered_set_partitions are the library's capped entry points: each
 applies kernel.check_cap first. The cap (DEFAULT_CAP, BruteForceCapError,
-brute_force_cap, check_cap) lives in kernel and is importable from here too.
+brute_force_cap, check_cap) lives in kernel and is imported from there.
 
 Streams are lazy: besides the current chain of at most k generator frames they
 hold only the move tables, 3^k entries for k colors, which is why they refuse
@@ -29,7 +29,7 @@ from functools import cache
 from typing import Iterator
 
 from homcount import kernel
-from homcount.kernel import DEFAULT_CAP, BruteForceCapError, brute_force_cap, check_cap  # noqa: F401
+from homcount.kernel import check_cap
 from homcount.model import MulticoloredModel, RPoint, SPoint, point_key
 
 

@@ -14,11 +14,10 @@ a shuffle of a set of kinds, with every kind used at most once overall and the
 singleton adjacencies that would glue blocks together forbidden.
 
 A colored description, the picture of an unconstrained model, is that model's
-own point sequence without k: ``ColorPoint`` and ``ColorShuffle`` are other
-names for ``RPoint`` and ``SPoint``. Its rules are that no color repeats and
-no shuffle is empty. One point codec writes and reads both wire formats, which
-differ only in their type tags: "R"/"S" for models, "block"/"shuffle" for
-colored descriptions.
+own sequence of ``RPoint`` and ``SPoint`` values without k. Its rules are that
+no color repeats and no shuffle is empty. One point codec writes and reads
+both wire formats, which differ only in their type tags: "R"/"S" for models,
+"block"/"shuffle" for colored descriptions.
 
 Validators return violation lists rather than raising; each violation carries
 a machine-readable axiom identifier:
@@ -145,10 +144,6 @@ class OrderingDescription:
 
     def __init__(self, segments: Iterable[Segment] = ()):
         object.__setattr__(self, "segments", tuple(segments))
-
-
-ColorPoint = RPoint
-ColorShuffle = SPoint
 
 
 @dataclass(frozen=True)

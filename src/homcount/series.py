@@ -126,6 +126,8 @@ def _exp_line(sign: int, c0: int, c1: int, order: int) -> TruncatedSeries:
 
 
 def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"series order must be nonnegative, got {order}")
     if order > MAX_ORDER:
         raise ValueError(f"series not supported beyond order {MAX_ORDER}, got {order}")
 

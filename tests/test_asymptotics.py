@@ -105,12 +105,21 @@ def test_approx_A_reference_terms():
 
 
 def test_approx_A_log_path_is_continuous():
-    # direct product at k=20 vs log-space at k=21 stay on one smooth curve
+    # the double product and the log form that ratio_report reads stay on one smooth curve
     direct = approx_A(20)
     import homcount.asymptotics as asym
 
     assert math.exp(asym._log_approx_A(20)) == pytest.approx(direct, rel=1e-10)
     assert approx_A(21) > approx_A(20)
+
+
+def test_approx_A_is_the_log_form_until_it_saturates():
+    import homcount.asymptotics as asym
+
+    for k in range(147):
+        assert approx_A(k) == pytest.approx(math.exp(asym._log_approx_A(k)), rel=1e-12), k
+    for k in range(147, 171):
+        assert approx_A(k) == math.inf, k
 
 
 def test_approx_A_range_errors():

@@ -16,7 +16,7 @@ from homcount import correspondence, counting, verify
 from homcount.cli import main
 from homcount.counting import SequenceId
 from homcount.kernel import BruteForceCapError
-from homcount.model import ColoredDescription, ColorShuffle, OrderingDescription, Shuffle
+from homcount.model import ColoredDescription, OrderingDescription, SPoint, Shuffle
 from homcount.routes import ROUTES
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli.json"
@@ -370,7 +370,7 @@ def test_verify_catches_a_corrupted_route(monkeypatch, seq, method):
 def test_round_trip_check_fails_on_an_invalid_expansion(monkeypatch):
     invalid = {
         "expand_model": lambda m: OrderingDescription([Shuffle([])]),
-        "expand_colored": lambda m: ColoredDescription([ColorShuffle([])]),
+        "expand_colored": lambda m: ColoredDescription([SPoint([])]),
     }
     for name, expand in invalid.items():
         with monkeypatch.context() as patch:
@@ -644,6 +644,16 @@ def test_malformed_inputs_are_usage_errors(tmp_path, monkeypatch, argv, text, me
     assert out == ""
     assert err and "Traceback" not in err
     assert message in err
+
+
+def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "expand", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"invalid JSON in {path}: 'utf-8' codec can't decode byte 0xff in position 0")
+    assert "Traceback" not in err
 
 
 _WIRE_KEYS = ["k", "adjacency_constrained", "points", "type", "color", "colors", "segments", "kind", "kinds",

@@ -20,8 +20,6 @@ from homcount.correspondence import (
 from homcount.enumeration import enumerate_models
 from homcount.model import (
     ColoredDescription,
-    ColorPoint,
-    ColorShuffle,
     Finite,
     FiniteColoredOrdering,
     MulticoloredModel,
@@ -76,10 +74,10 @@ def test_contract_examples():
 def test_expand_colored_examples():
     assert expand_colored(
         MulticoloredModel(2, [RPoint(1), RPoint(2)], False)
-    ) == ColoredDescription([ColorPoint(1), ColorPoint(2)])
+    ) == ColoredDescription([RPoint(1), RPoint(2)])
     assert expand_colored(
         MulticoloredModel(2, [SPoint({1, 2})], False)
-    ) == ColoredDescription([ColorShuffle({1, 2})])
+    ) == ColoredDescription([SPoint({1, 2})])
     assert contract_colored(ColoredDescription([]), 0) == MulticoloredModel(0, [], False)
     with pytest.raises(ValueError, match="adjacency-unconstrained"):
         expand_colored(MulticoloredModel(1, [RPoint(1)], True))
@@ -95,7 +93,7 @@ def test_contract_names_the_first_label_in_canonical_order():
     kinds = OrderingDescription([Shuffle([ZETA, OMEGA, Finite(5)])])
     with pytest.raises(ValueError, match=r"finite-label range: kind \{'finite': 5\} with k=3$"):
         contract_description(kinds, 3)
-    colors = ColoredDescription([ColorPoint(1), ColorShuffle({2, -1, 7})])
+    colors = ColoredDescription([RPoint(1), SPoint({2, -1, 7})])
     with pytest.raises(ValueError, match="^color -1 outside 1..1$"):
         contract_colored(colors, 1)
 

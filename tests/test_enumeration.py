@@ -14,13 +14,13 @@ import pytest
 from homcount import enumeration, kernel
 from homcount.combinatorics import binomial
 from homcount.enumeration import (
-    BruteForceCapError,
     count_by_enumeration,
     enumerate_models,
     enumerate_ordered_set_partitions,
     enumerate_surjective,
     surjective_first_point_split,
 )
+from homcount.kernel import BruteForceCapError
 from homcount.model import MulticoloredModel, RPoint, SPoint, canonical_key, model_to_dict, validate_model
 
 

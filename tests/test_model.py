@@ -7,8 +7,6 @@ import pytest
 
 from homcount.model import (
     ColoredDescription,
-    ColorPoint,
-    ColorShuffle,
     Finite,
     MulticoloredModel,
     OMEGA,
@@ -144,17 +142,16 @@ def test_validate_description_disjointness():
 
 def test_validate_colored_description():
     assert validate_colored_description(
-        ColoredDescription([ColorPoint(1), ColorPoint(2)])
+        ColoredDescription([RPoint(1), RPoint(2)])
     ).ok
     bad = validate_colored_description(
-        ColoredDescription([ColorPoint(1), ColorShuffle({1, 2})])
+        ColoredDescription([RPoint(1), SPoint({1, 2})])
     )
     assert bad.axioms() == {"T.disjoint"}
 
 
 def test_colored_points_are_the_model_points():
-    assert ColorPoint is RPoint and ColorShuffle is SPoint
-    assert ColoredDescription([ColorPoint(1), ColorShuffle({2})]).segments == (RPoint(1), SPoint({2}))
+    assert ColoredDescription([RPoint(1), SPoint({2})]).segments == (RPoint(1), SPoint({2}))
 
 
 def test_canonical_compare_examples():
@@ -213,7 +210,7 @@ def test_kind_json_encodings():
 
 
 def test_colored_description_json():
-    d = ColoredDescription([ColorPoint(2), ColorShuffle({1, 3})])
+    d = ColoredDescription([RPoint(2), SPoint({1, 3})])
     blob = json.dumps(colored_description_to_dict(d))
     assert blob == (
         '{"segments": [{"type": "block", "color": 2}, '

@@ -183,6 +183,12 @@ def test_builders_refuse_orders_above_the_bound():
                 build(order)
 
 
+def test_builders_refuse_a_negative_order():
+    for builder in (egf_H, egf_f, egf_fubini):
+        with pytest.raises(ValueError, match="^series order must be nonnegative, got -1$"):
+            builder(-1)
+
+
 def test_coefficients_are_nonnegative():
     for s in (egf_H(N), egf_f(N), egf_fubini(N)):
         assert all(c >= 0 for c in s.coeffs)
