@@ -8,9 +8,10 @@ that closes stdout early among them), 2 usage error. HOMCOUNT_CAP overrides
 the default brute-force cap of 7.
 
 `count` and `export` read routes.ROUTES, the one table of counted sequences:
-`count` checks the method against it and prints that route's term k, and
-`export` lists the default route's terms. The routes refuse an index below
-the first, a negative cap and an index above their bound.
+`--sequence` accepts exactly its keys, `count` checks the method against it
+and prints that route's term k, and `export` lists the default route's
+terms. The routes refuse an index below the first, a negative cap and an
+index above their bound.
 
 Each command imports only the layers it runs. At module level this file loads
 routes, counting and kernel; series, verify, asymptotics, model, enumeration
@@ -32,7 +33,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 from homcount import kernel
-from homcount.counting import SequenceId
 from homcount.routes import ROUTES
 
 USAGE_ERROR = 2
@@ -49,14 +49,10 @@ def _digits(value: int | Fraction) -> str:
     return str(Decimal(value))
 
 
-def _sequence(value: str) -> SequenceId:
-    try:
-        return SequenceId(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown sequence {value!r}; choose from "
-            + ", ".join(s.value for s in SequenceId)
-        )
+def _sequence(value: str) -> str:
+    if value not in ROUTES:
+        raise argparse.ArgumentTypeError(f"unknown sequence {value!r}; choose from {', '.join(ROUTES)}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,14 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args) -> int:
-    seq: SequenceId = args.sequence
+    seq = args.sequence
     routes = ROUTES[seq][1]
     method = args.method or next(iter(routes))
     if method not in routes:
-        raise ValueError(f"method {method!r} does not apply to sequence {seq.value}; valid: {', '.join(routes)}")
+        raise ValueError(f"method {method!r} does not apply to sequence {seq}; valid: {', '.join(routes)}")
     (value,) = routes[method](args.k, args.k, args.cap)
-    print(f"{seq.value}({args.k}) = {_digits(value)} [{method}]")
-    if seq == SequenceId.I and method == "closed-form":
+    print(f"{seq}({args.k}) = {_digits(value)} [{method}]")
+    if seq == "I" and method == "closed-form":
         print("note: excludes the empty ordering; recurrence value is +1")
     return 0
 
@@ -157,7 +153,7 @@ def cmd_export(args) -> int:
     elif args.format == "csv":
         text = "k,value\n" + "".join(f"{k},{v}\n" for k, v in terms)
     else:
-        text = json.dumps({"sequence": args.sequence.value, "terms": [[k, v] for k, v in terms]}) + "\n"
+        text = json.dumps({"sequence": args.sequence, "terms": [[k, v] for k, v in terms]}) + "\n"
     _write(args.output, text)
     return 0
 
@@ -198,14 +194,14 @@ def cmd_asymptotic(args) -> int:
 def _read_json(path: str) -> dict:
     """The JSON document on stdin (path -) or in the file at `path`; a path that
     cannot be read is an OSError naming it, which main reports with exit 1, and
-    a syntax error or a file that is not UTF-8 is a ValueError naming the input
-    (exit 2)."""
+    a syntax error, a file that is not UTF-8 or a number past the interpreter's
+    int/str digit limit is a ValueError naming the input (exit 2)."""
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         where = "on stdin" if path == "-" else f"in {path}"
         raise ValueError(f"invalid JSON {where}: {exc}") from None
     except RecursionError:

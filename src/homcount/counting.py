@@ -17,10 +17,11 @@ constrained models: closed_form_I(k) + 1 == count_I(k). Both values are
 exposed on purpose; the recurrence value is the one matching the reference
 term lists.
 
-The reference term list of I starts at k=1, every other list at k=0; the route
-table (routes.ROUTES) records each sequence's first index beside its methods,
-and bounds the index its recurrence and closed-form routes accept. These
-functions themselves take any nonnegative k.
+The reference term list of I starts at k=1, every other list at k=0. The
+route table (routes.ROUTES) names the sequences, as the CLI prints them, and
+records each one's first index beside its methods; it also bounds the index
+its recurrence and closed-form routes accept. These functions themselves take
+any nonnegative k.
 
 The recurrences K1, J and Fubini are three combinatorics.GrowingTable
 instances, each with its own list and lock. Each recurrence is a binomial
@@ -46,21 +47,10 @@ the recurrences and the formula that checks them share no table.
 
 from __future__ import annotations
 
-import enum
 from itertools import accumulate
 from math import ceil
 
 from homcount.combinatorics import GrowingTable, binomial, factorial, stirling2
-
-
-class SequenceId(str, enum.Enum):
-    I = "I"
-    L = "L"
-    J_SURJECTIVE = "J_surjective"
-    K1 = "K1"
-    K2 = "K2"
-    FUBINI = "Fubini"
-    I_CLOSED_NONEMPTY = "I_closed_nonempty"
 
 
 def _require_nonnegative(k: int) -> None:

@@ -3,7 +3,7 @@
 The stream is the ground truth that every counting formula is checked against.
 Models are produced shortest first, then lexicographically by point encoding
 (R-points before S-points, R by color, S by sorted color list), exactly the
-order of model.canonical_compare. One generator, _stream, serves all three
+order of model.canonical_key. One generator, _stream, serves all three
 public streams; it recurses over the next point and reads that point's
 candidates from a per-mask move table (_point_moves) of (point, rest, size)
 triples in canonical order, sorted by model.point_key. The moves come from
@@ -13,7 +13,7 @@ shared by every table and every model (points are frozen).
 
 Counting never materializes models: it goes through homcount.kernel, which
 walks the same choice tree and splits the surjective models into S-first and
-R-first at its root. count_by_enumeration, surjective_first_point_split and
+R-first at its root. surjective_first_point_split and
 enumerate_ordered_set_partitions are the library's capped entry points: each
 applies kernel.check_cap first. The cap (DEFAULT_CAP, BruteForceCapError,
 brute_force_cap, check_cap) lives in kernel and is imported from there.
@@ -97,12 +97,6 @@ def enumerate_ordered_set_partitions(k: int, cap: int | None = None) -> Iterator
     """All-S-point surjective models: the ordered set partitions of {1..k}."""
     check_cap(k, cap)
     yield from _stream(k, False, True, False)
-
-
-def count_by_enumeration(k: int, constrained: bool = True, cap: int | None = None) -> int:
-    """Exact number of models, by walking all of them (kernel-accelerated)."""
-    check_cap(k, cap)
-    return kernel.count_models(k, constrained)
 
 
 def surjective_first_point_split(

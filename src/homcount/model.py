@@ -183,9 +183,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def axioms(self) -> set[str]:
         return {v.axiom for v in self.violations}
 
@@ -308,15 +305,10 @@ def point_key(p: Point) -> tuple[int, tuple[int, ...]]:
 
 
 def canonical_key(m: MulticoloredModel) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The sort key of the canonical order on models of one k: shorter first,
+    then pointwise by point_key. Equal keys mean equal points, so the order is
+    total; the streams of enumeration yield models in it."""
     return (len(m.points), tuple(point_key(p) for p in m.points))
-
-
-def canonical_compare(a: MulticoloredModel, b: MulticoloredModel) -> int:
-    """Total order on same-k models: -1, 0, or 1. Shorter first, then pointwise."""
-    if a.k != b.k:
-        raise ValueError(f"cannot compare models with k={a.k} and k={b.k}")
-    ka, kb = canonical_key(a), canonical_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The route table: every way the package computes a counted sequence.
 
-ROUTES maps each sequence to the first index of its term list and its
-methods, default method first. A method is a batch function
+ROUTES maps each sequence name, as the CLI accepts and prints it, to the
+first index of its term list and its methods, default method first; its keys
+are the package's one list of counted sequences. A method is a batch function
 terms(lo, hi, cap) -> [term lo, ..., term hi]:
 
 * a recurrence calls its counting function once per k, and the closed form
@@ -31,7 +32,6 @@ from functools import partial
 from operator import itemgetter
 
 from homcount import counting, kernel
-from homcount.counting import SequenceId
 
 # The largest k of each exact method. Python 3.11, 2-core VM: `count` in a fresh process takes
 # I(1500) 1.5 s, I(2000) 3.1 s and 30 MB peak by recurrence. The closed form's inner sums grow about
@@ -74,12 +74,10 @@ def _walk(pick: Callable, constrained: bool, surjective: bool, r_points: bool = 
     return terms
 
 
-def _checked(
-    seq: SequenceId, start: int, method: str, terms: Terms, lo: int, hi: int, cap: int | None
-) -> list[int]:
+def _checked(seq: str, start: int, method: str, terms: Terms, lo: int, hi: int, cap: int | None) -> list[int]:
     """terms(lo, hi, cap), refusing an index below `start`, a negative cap and hi above BOUNDS[method] first."""
     if min(lo, hi) < start:
-        raise ValueError(f"sequence {seq.value} starts at k={start}")
+        raise ValueError(f"sequence {seq} starts at k={start}")
     if cap is not None:
         kernel.brute_force_cap(cap)  # refuses a negative cap, whatever the method
     if method in BOUNDS and hi > BOUNDS[method]:
@@ -87,21 +85,20 @@ def _checked(
     return terms(lo, hi, cap)
 
 
-# sequence -> (first index of its term list, {method: terms}), default method first
-ROUTES: dict[SequenceId, tuple[int, dict[str, Terms]]] = {
+# sequence name -> (first index of its term list, {method: terms}), default method first
+ROUTES: dict[str, tuple[int, dict[str, Terms]]] = {
     seq: (start, {method: partial(_checked, seq, start, method, terms) for method, terms in methods.items()})
     for seq, start, methods in [
-        (SequenceId.I, 1, {"recurrence": _exact("count_I"), "closed-form": _closed_form,
-                           "brute-force": _walk(sum, True, False)}),
-        (SequenceId.L, 0, {"recurrence": _exact("count_L"), "egf": _egf("egf_H"),
-                           "brute-force": _walk(sum, False, False)}),
-        (SequenceId.J_SURJECTIVE, 0, {"recurrence": _exact("j_surjective"), "egf": _egf("egf_f"),
-                                      "brute-force": _walk(sum, False, True)}),
-        (SequenceId.K1, 0, {"recurrence": _exact("k1"), "brute-force": _walk(itemgetter(0), True, True)}),
-        (SequenceId.K2, 0, {"recurrence": _exact("k2"), "brute-force": _walk(itemgetter(1), True, True)}),
-        (SequenceId.FUBINI, 0, {"recurrence": _exact("fubini"), "egf": _egf("egf_fubini"),
-                                "brute-force": _walk(sum, False, True, r_points=False)}),
-        (SequenceId.I_CLOSED_NONEMPTY, 1, {"closed-form": _closed_form,
-                                           "brute-force": _walk(lambda split: sum(split) - 1, True, False)}),
+        ("I", 1, {"recurrence": _exact("count_I"), "closed-form": _closed_form,
+                  "brute-force": _walk(sum, True, False)}),
+        ("L", 0, {"recurrence": _exact("count_L"), "egf": _egf("egf_H"), "brute-force": _walk(sum, False, False)}),
+        ("J_surjective", 0, {"recurrence": _exact("j_surjective"), "egf": _egf("egf_f"),
+                             "brute-force": _walk(sum, False, True)}),
+        ("K1", 0, {"recurrence": _exact("k1"), "brute-force": _walk(itemgetter(0), True, True)}),
+        ("K2", 0, {"recurrence": _exact("k2"), "brute-force": _walk(itemgetter(1), True, True)}),
+        ("Fubini", 0, {"recurrence": _exact("fubini"), "egf": _egf("egf_fubini"),
+                       "brute-force": _walk(sum, False, True, r_points=False)}),
+        ("I_closed_nonempty", 1, {"closed-form": _closed_form,
+                                  "brute-force": _walk(lambda split: sum(split) - 1, True, False)}),
     ]
 }

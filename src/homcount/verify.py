@@ -67,7 +67,7 @@ def _agree(indices: range, compute, expect, prefix: str = ""):
 
 def _route(seq: str, method: str, cap: int | None):
     """The term lists of routes.ROUTES' `method` route for sequence `seq`, read from the table when called."""
-    return lambda r: routes.ROUTES[routes.SequenceId(seq)][1][method](r.start, r.stop - 1, cap)
+    return lambda r: routes.ROUTES[seq][1][method](r.start, r.stop - 1, cap)
 
 
 def _versus(indices: range, seq: str, method: str, cap: int | None, against: str = "recurrence"):

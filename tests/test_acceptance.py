@@ -51,10 +51,10 @@ def test_criterion_2_l_sequence_regression():
 def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
     ok = all(
-        enumeration.count_by_enumeration(k, True) == counting.count_I(k)
+        kernel.count_models(k, True) == counting.count_I(k)
         for k in range(1, 8)
     ) and all(
-        enumeration.count_by_enumeration(k, False) == counting.count_L(k)
+        kernel.count_models(k, False) == counting.count_L(k)
         for k in range(8)
     )
     elapsed = time.perf_counter() - start
@@ -65,7 +65,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_closed_form_reconciliation():
     offset_ok = all(counting.closed_form_I(k) + 1 == counting.count_I(k) for k in range(1, 14))
     brute_ok = all(
-        counting.closed_form_I(k) == enumeration.count_by_enumeration(k, True) - 1
+        counting.closed_form_I(k) == kernel.count_models(k, True) - 1
         for k in range(1, 8)
     )
     report(4, offset_ok and brute_ok,

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from homcount import correspondence, counting, verify
 from homcount.cli import main
-from homcount.counting import SequenceId
 from homcount.kernel import BruteForceCapError
 from homcount.model import ColoredDescription, OrderingDescription, SPoint, Shuffle
 from homcount.routes import ROUTES
@@ -48,11 +47,11 @@ def test_default_routes():
         (value,) = next(iter(ROUTES[seq][1].values()))(k, k, None)
         return value
 
-    assert default(SequenceId.I, 5) == 5487
-    assert default(SequenceId.L, 6) == 131244
-    assert default(SequenceId.K1, 2) == 5
-    assert default(SequenceId.FUBINI, 4) == 75
-    assert default(SequenceId.I_CLOSED_NONEMPTY, 2) == 11
+    assert default("I", 5) == 5487
+    assert default("L", 6) == 131244
+    assert default("K1", 2) == 5
+    assert default("Fubini", 4) == 75
+    assert default("I_closed_nonempty", 2) == 11
 
 
 def test_every_brute_force_route_applies_the_cap():
@@ -216,10 +215,12 @@ def test_count_cap_env(capsys, monkeypatch):
     assert "cap of 2" in err
 
 
-def test_unknown_sequence_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--sequence", "Q", "--k", "3"])
-    assert exc.value.code == 2
+def test_unknown_sequence_is_usage_error():
+    code, out, err = run_on_stdin(["count", "--sequence", "X", "--k", "1"], "")
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "unknown sequence 'X'; choose from I, L, J_surjective, K1, K2, Fubini, I_closed_nonempty\n"
+    )
 
 
 def test_enumerate_streams_json_lines(capsys):
@@ -338,7 +339,7 @@ def test_verify_reports_a_raising_check_and_goes_on(capsys, monkeypatch):
     def broken(lo, hi, cap):
         raise RuntimeError("walk broke")
 
-    monkeypatch.setitem(ROUTES[SequenceId.FUBINI][1], "brute-force", broken)
+    monkeypatch.setitem(ROUTES["Fubini"][1], "brute-force", broken)
     code, out, _ = run(capsys, "verify", "--k-max", "4")
     assert code == 1
     lines = out.splitlines()
@@ -356,7 +357,7 @@ _ROUTE_ENTRIES = [(seq, method) for seq, (_, methods) in ROUTES.items() for meth
 
 
 # every entry of the route table feeds a route-agreement check, so one wrong term fails verify
-@pytest.mark.parametrize("seq,method", _ROUTE_ENTRIES, ids=[f"{seq.value}-{method}" for seq, method in _ROUTE_ENTRIES])
+@pytest.mark.parametrize("seq,method", _ROUTE_ENTRIES, ids=[f"{seq}-{method}" for seq, method in _ROUTE_ENTRIES])
 def test_verify_catches_a_corrupted_route(monkeypatch, seq, method):
     healthy = ROUTES[seq][1][method]
 
@@ -598,8 +599,14 @@ def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc, mess
     assert message in err
 
 
-# input defects that once ended in a traceback (deep nesting) or were silently
-# accepted (negative k, entries merged by a set), one per row
+# a model whose k has one digit more than int() parses from a string
+_LONG_NUMBER_MODEL = f'{{"k": {"9" * (sys.get_int_max_str_digits() + 1)}, "points": []}}'
+_LONG_NUMBER_ERROR = f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion"
+
+
+# input defects that once ended in a traceback (deep nesting), were silently
+# accepted (negative k, entries merged by a set) or did not name their input
+# (an over-long number), one per row
 @pytest.mark.parametrize(
     "argv,text,message",
     [
@@ -628,11 +635,14 @@ def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc, mess
         (["expand"], "", "invalid JSON on stdin: Expecting value: line 1 column 1 (char 0)"),
         (["contract", "--k", "3", "--input", "truncated.json"], '{"segments": [{"type": "block"',
          "invalid JSON in truncated.json: Expecting ',' delimiter: line 1 column 31 (char 30)"),
+        (["expand"], _LONG_NUMBER_MODEL, f"invalid JSON on stdin: {_LONG_NUMBER_ERROR}"),
+        (["expand", "--input", "long.json"], _LONG_NUMBER_MODEL,
+         f"invalid JSON in long.json: {_LONG_NUMBER_ERROR}"),
     ],
     ids=["deep-nesting", "contract-negative-k", "contract-colored-negative-k", "expand-negative-k",
          "repeated-color", "repeated-shuffle-color", "repeated-kind", "verify-negative-terms",
          "verify-negative-cap", "count-negative-cap", "enumerate-negative-cap", "count-recurrence-negative-cap",
-         "count-egf-negative-cap", "empty-stdin", "truncated-file"],
+         "count-egf-negative-cap", "empty-stdin", "truncated-file", "long-number-stdin", "long-number-file"],
 )
 def test_malformed_inputs_are_usage_errors(tmp_path, monkeypatch, argv, text, message):
     if "--input" in argv:  # the row's text is the named file's, and stdin stays empty

@@ -14,7 +14,6 @@ import pytest
 from homcount import enumeration, kernel
 from homcount.combinatorics import binomial
 from homcount.enumeration import (
-    count_by_enumeration,
     enumerate_models,
     enumerate_ordered_set_partitions,
     enumerate_surjective,
@@ -80,24 +79,24 @@ def test_determinism_across_threads():
 
 
 def test_counts_match_reference_values():
-    assert count_by_enumeration(2, True) == 12
-    assert count_by_enumeration(2, False) == 14
-    assert count_by_enumeration(3, True) == 71
+    assert kernel.count_models(2, True) == 12
+    assert kernel.count_models(2, False) == 14
+    assert kernel.count_models(3, True) == 71
 
 
 def test_count_matches_stream_length():
     for k in range(5):
         for constrained in (True, False):
-            assert count_by_enumeration(k, constrained) == sum(
+            assert kernel.count_models(k, constrained) == sum(
                 1 for _ in enumerate_models(k, constrained)
             )
 
 
 def test_cap_refusal_names_the_cap():
     with pytest.raises(BruteForceCapError, match="cap of 7"):
-        count_by_enumeration(8, True)
-    # explicit override opens the door
-    assert count_by_enumeration(8, True, cap=8) == 14016774
+        surjective_first_point_split(8, True)
+    # explicit override opens the door: K1(8) and K2(8)
+    assert surjective_first_point_split(8, True, cap=8) == (5587635, 2841504)
     # a negative cap is refused by name, not as a cap that every k exceeds
     with pytest.raises(ValueError, match="^cap must be nonnegative, got -1$") as exc:
         surjective_first_point_split(0, cap=-1)
@@ -107,7 +106,7 @@ def test_cap_refusal_names_the_cap():
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("HOMCOUNT_CAP", "3")
     with pytest.raises(BruteForceCapError, match="cap of 3"):
-        count_by_enumeration(4, True)
+        surjective_first_point_split(4, True)
 
 
 def test_surjective_examples():
@@ -132,7 +131,7 @@ def test_partition_by_used_color_set():
     # models partition by which colors they use; each class is a surjective count
     for k in range(6):
         for constrained in (True, False):
-            total = count_by_enumeration(k, constrained)
+            total = kernel.count_models(k, constrained)
             assert total == sum(
                 binomial(k, i) * kernel.count_surjective(i, constrained)
                 for i in range(k + 1)

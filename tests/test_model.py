@@ -17,7 +17,7 @@ from homcount.model import (
     Shuffle,
     SingletonBlock,
     ZETA,
-    canonical_compare,
+    canonical_key,
     colored_description_from_dict,
     colored_description_to_dict,
     description_from_dict,
@@ -154,29 +154,27 @@ def test_colored_points_are_the_model_points():
     assert ColoredDescription([RPoint(1), SPoint({2})]).segments == (RPoint(1), SPoint({2}))
 
 
-def test_canonical_compare_examples():
+def test_canonical_key_examples():
     empty = MulticoloredModel(1, [])
     r1 = MulticoloredModel(1, [RPoint(1)])
     s1 = MulticoloredModel(1, [SPoint({1})])
-    assert canonical_compare(empty, r1) == -1
-    assert canonical_compare(r1, s1) == -1
-    assert canonical_compare(s1, MulticoloredModel(1, [SPoint({1})])) == 0
-    with pytest.raises(ValueError):
-        canonical_compare(empty, MulticoloredModel(2, []))
+    assert canonical_key(empty) < canonical_key(r1)
+    assert canonical_key(r1) < canonical_key(s1)
+    assert canonical_key(s1) == canonical_key(MulticoloredModel(1, [SPoint({1})]))
 
 
-def test_canonical_compare_is_total_order():
+def test_canonical_key_is_total_order():
     from homcount.enumeration import enumerate_models
 
     for k in range(4):
         models = list(enumerate_models(k, True))
         for a, b in itertools.product(models[:40], repeat=2):
-            cab, cba = canonical_compare(a, b), canonical_compare(b, a)
-            assert cab == -cba  # antisymmetric
-            assert (cab == 0) == (a == b)  # total: ties only on equality
+            ka, kb = canonical_key(a), canonical_key(b)
+            assert not (ka < kb and kb < ka)  # antisymmetric
+            assert (ka == kb) == (a == b)  # total: ties only on equality
         for a, b, c in zip(models, models[1:], models[2:]):
-            assert canonical_compare(a, b) == -1 and canonical_compare(b, c) == -1
-            assert canonical_compare(a, c) == -1  # transitivity along the stream
+            assert canonical_key(a) < canonical_key(b) < canonical_key(c)
+            assert canonical_key(a) < canonical_key(c)  # transitivity along the stream
 
 
 def test_model_json_bit_exact():

@@ -1,4 +1,5 @@
-"""The package surface: every module imports from the package, and a bare import loads none of them."""
+"""The package surface: every module imports from the package, a bare import loads none of them, and
+tools/sloc.py counts the package's code lines."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import homcount
 
 PACKAGE_DIR = Path(homcount.__file__).resolve().parent
+SLOC = Path(__file__).resolve().parents[1] / "tools" / "sloc.py"
 
 
 def test_unknown_name_is_an_attribute_error():
@@ -39,3 +41,11 @@ def test_main_is_never_an_attribute():
 def test_bare_import_loads_no_submodule():
     code = "import sys\nimport homcount\nprint(*sorted(m for m in sys.modules if m.startswith('homcount.')))\n"
     assert _fresh(code) == "\n"
+
+
+def test_sloc_refuses_a_directory_without_modules(tmp_path):
+    # a moved package would otherwise count as "total 0" and pass the code-lines step
+    run = subprocess.run([sys.executable, str(SLOC), str(tmp_path)], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", f"no .py file in {tmp_path}\n")
+    run = subprocess.run([sys.executable, str(SLOC), str(PACKAGE_DIR)], capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1].startswith("total ")
