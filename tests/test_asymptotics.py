@@ -104,6 +104,15 @@ def test_approx_A_reference_terms():
         assert approx_A(k) == pytest.approx(expected, rel=1e-3)
 
 
+def test_approx_A_log_path_is_continuous():
+    # the double product and the log form that ratio_report reads stay on one smooth curve
+    direct = approx_A(20)
+    import homcount.asymptotics as asym
+
+    assert math.exp(asym._log_approx_A(20)) == pytest.approx(direct, rel=1e-10)
+    assert approx_A(21) > approx_A(20)
+
+
 def test_approx_A_is_the_log_form_until_it_saturates():
     # the double product and the log form that ratio_report reads stay on one increasing curve
     import homcount.asymptotics as asym
