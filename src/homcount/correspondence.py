@@ -2,10 +2,10 @@
 
 A constrained model expands pointwise into an ordering description: an R-point
 of color i becomes a singleton block of size i, an S-point with color set A
-becomes a shuffle of the blocks sized by A. An unconstrained model expands the
-same way into a colored description, which holds the model's own points (no
-adjacency rules, no k). Both directions are pure re-taggings, the colored one
-literally so, and contraction is the exact inverse. Contraction names the
+becomes a shuffle of the blocks sized by A. An unconstrained model expands
+into a colored description, which is the model's own tuple of points (no
+adjacency rules, no k). Expansion is a pure re-tagging, the colored one the
+identity on points, and contraction is the exact inverse. Contraction names the
 first out-of-range label in canonical order (segments in order, kinds by
 kind_key, colors ascending), so the message is the same on every run; a
 kind is named in its wire encoding.
@@ -17,9 +17,10 @@ infinite successor budget kills no omega* blocks and vice versa; zeta blocks
 need at least one infinite side.
 
 is_finite_homogeneous is the brute-force oracle on explicit finite colored
-orderings: it searches the full automorphism extension space rather than
-assuming that a finite linear order only has the identity automorphism, so the
-reduction "homogeneous iff all colors distinct" stays a tested fact.
+orderings, each a tuple of colors: it searches the full automorphism extension
+space rather than assuming that a finite linear order only has the identity
+automorphism, so the reduction "homogeneous iff all colors distinct" stays a
+tested fact.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from homcount.model import (
     OMEGA_STAR,
     OrderingDescription,
     RPoint,
-    Segment,
     Shuffle,
     SingletonBlock,
     SPoint,
@@ -80,13 +80,12 @@ def expand_model(m: MulticoloredModel) -> OrderingDescription:
     if not m.adjacency_constrained:
         raise ValueError("expand_model expects an adjacency-constrained model")
     _require(validate_model(m), "model")
-    segments: list[Segment] = []
-    for p in m.points:
-        if isinstance(p, RPoint):
-            segments.append(SingletonBlock(Finite(p.color)))
-        else:
-            segments.append(Shuffle(Finite(c) for c in p.colors))
-    return OrderingDescription(segments)
+    # a tuple of a list, not of a generator: CPython sizes a generator's tuple by
+    # a guess and shrinks it, so each call takes a fresh block and peak RSS creeps up
+    return tuple([
+        SingletonBlock(Finite(p.color)) if isinstance(p, RPoint) else Shuffle(Finite(c) for c in p.colors)
+        for p in m.points
+    ])
 
 
 def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
@@ -94,7 +93,7 @@ def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
     _require_nonnegative(k)
     _require(validate_description(d), "description")
     points = []
-    for seg in d.segments:
+    for seg in d:
         kinds = [seg.kind] if isinstance(seg, SingletonBlock) else seg.kinds
         for kind in kinds:
             if not isinstance(kind, Finite) or kind.size > k:
@@ -116,18 +115,18 @@ def expand_colored(m: MulticoloredModel) -> ColoredDescription:
     if m.adjacency_constrained:
         raise ValueError("expand_colored expects an adjacency-unconstrained model")
     _require(validate_model(m), "model")
-    return ColoredDescription(m.points)
+    return m.points
 
 
 def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_colored."""
     _require_nonnegative(k)
     _require(validate_colored_description(d), "colored description")
-    for seg in d.segments:
+    for seg in d:
         for c in [seg.color] if isinstance(seg, RPoint) else sorted(seg.colors):
             if not 1 <= c <= k:
                 raise ValueError(f"color {c} outside 1..{k}")
-    return MulticoloredModel(k, d.segments, adjacency_constrained=False)
+    return MulticoloredModel(k, d, adjacency_constrained=False)
 
 
 def _check_extended_nat(name: str, value: ExtendedNat) -> None:
@@ -153,7 +152,7 @@ def classify_cnm(d: OrderingDescription, n: ExtendedNat, m: ExtendedNat) -> bool
     _check_extended_nat("n", n)
     _check_extended_nat("m", m)
     _require(validate_description(d), "description")
-    for seg in d.segments:
+    for seg in d:
         kinds = [seg.kind] if isinstance(seg, SingletonBlock) else seg.kinds
         if not all(_kind_permitted(kind, n, m) for kind in kinds):
             return False
@@ -168,8 +167,7 @@ def _automorphisms(o: FiniteColoredOrdering) -> list[tuple[int, ...]]:
     completes: exactly the permutations of range(size) that are increasing
     and color-preserving, in lexicographic order.
     """
-    colors = o.colors
-    size = len(colors)
+    size = len(o)
     autos: list[tuple[int, ...]] = []
     partial: list[int] = []
 
@@ -179,7 +177,7 @@ def _automorphisms(o: FiniteColoredOrdering) -> list[tuple[int, ...]]:
             autos.append(tuple(partial))
             return
         for j in range(start, size):
-            if colors[j] == colors[i]:
+            if o[j] == o[i]:
                 partial.append(j)
                 extend(j + 1)
                 partial.pop()
@@ -196,7 +194,7 @@ def is_finite_homogeneous(o: FiniteColoredOrdering) -> bool:
     tested property, not something this function assumes. An ordering of more
     than HOMOGENEITY_CAP points is refused with a ValueError.
     """
-    size = len(o.colors)
+    size = len(o)
     if size > HOMOGENEITY_CAP:
         raise ValueError(f"is_finite_homogeneous searches at most {HOMOGENEITY_CAP} points, got {size}")
     autos = _automorphisms(o)
@@ -204,7 +202,7 @@ def is_finite_homogeneous(o: FiniteColoredOrdering) -> bool:
     for length in range(size + 1):
         subsequences = list(itertools.combinations(indices, length))
         for s, t in itertools.product(subsequences, repeat=2):
-            if any(o.colors[a] != o.colors[b] for a, b in zip(s, t)):
+            if any(o[a] != o[b] for a, b in zip(s, t)):
                 continue  # not isomorphic as colored suborders
             if not any(all(sigma[a] == b for a, b in zip(s, t)) for sigma in autos):
                 return False

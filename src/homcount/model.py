@@ -14,13 +14,19 @@ a shuffle of a set of kinds, with every kind used at most once overall and the
 singleton adjacencies that would glue blocks together forbidden.
 
 A colored description, the picture of an unconstrained model, is that model's
-own sequence of ``RPoint`` and ``SPoint`` values without k. Its rules are that
+own tuple of ``RPoint`` and ``SPoint`` values without k. Its rules are that
 no color repeats and no shuffle is empty. One point codec writes and reads
 both wire formats, which differ only in their type tags: "R"/"S" for models,
-"block"/"shuffle" for colored descriptions.
+"block"/"shuffle" for colored descriptions. Descriptions of both kinds, and
+finite colored orderings (a color per position), are plain tuples; their
+names are type aliases.
 
-Validators return violation lists rather than raising; each violation carries
-a machine-readable axiom identifier:
+Validators return violation lists rather than raising. One walk over the
+segments checks the two axioms that every format shares: no set is empty
+(``Tprime.2``, ``T.shuffle_empty``) and no color or kind is in two segments
+(``Tprime.5``-``Tprime.7``, ``T.disjoint``). Each validator adds its own rules
+to it, and reports a label that breaks the range or size rule once, at its
+first position. Each violation carries a machine-readable axiom identifier:
 
 ==============  =====================================================
 ``Tprime.2``    point carries no color (empty S-set)
@@ -138,30 +144,9 @@ class Shuffle:
 Segment = Union[SingletonBlock, Shuffle]
 
 
-@dataclass(frozen=True)
-class OrderingDescription:
-    segments: tuple[Segment, ...] = ()
-
-    def __init__(self, segments: Iterable[Segment] = ()):
-        object.__setattr__(self, "segments", tuple(segments))
-
-
-@dataclass(frozen=True)
-class ColoredDescription:
-    segments: tuple[Point, ...] = ()
-
-    def __init__(self, segments: Iterable[Point] = ()):
-        object.__setattr__(self, "segments", tuple(segments))
-
-
-@dataclass(frozen=True)
-class FiniteColoredOrdering:
-    """An explicit finite colored linear order: position i has color colors[i]."""
-
-    colors: tuple[int, ...] = ()
-
-    def __init__(self, colors: Iterable[int] = ()):
-        object.__setattr__(self, "colors", tuple(colors))
+OrderingDescription = tuple[Segment, ...]
+ColoredDescription = tuple[Point, ...]  # an unconstrained model's own points, without k
+FiniteColoredOrdering = tuple[int, ...]  # position i has color o[i]
 
 
 # ---------------------------------------------------------------------------
@@ -187,42 +172,46 @@ class ValidationReport:
         return {v.axiom for v in self.violations}
 
 
+def _walk(segments, empty: str, reused: str, by_holders: dict) -> tuple[list[Violation], dict]:
+    """The two axioms every format shares, walked once: no set is empty
+    (`empty`) and no label is in two segments. A reused label breaks the axiom
+    that `by_holders` names for the pair (first holder is a singleton, this
+    holder is a singleton), else `reused`; it is compared with its first holder.
+
+    Returns the violations and each label's first (position, is_singleton),
+    labels in segment order and, within a set, in canonical order.
+    """
+    out: list[Violation] = []
+    first: dict = {}
+    for i, seg in enumerate(segments):
+        if isinstance(seg, (RPoint, SingletonBlock)):
+            single, labels = True, (seg.color if isinstance(seg, RPoint) else seg.kind,)
+        else:
+            single = False
+            labels = sorted(seg.colors) if isinstance(seg, SPoint) else sorted(seg.kinds, key=kind_key)
+            if not labels:
+                out.append(Violation(empty, (i,), f"empty set at {i}"))
+        for label in labels:
+            if label in first:
+                j, was_single = first[label]
+                name = f"color {label}" if isinstance(seg, (RPoint, SPoint)) else f"kind {kind_to_json(label)}"
+                axiom = by_holders.get((was_single, single), reused)
+                out.append(Violation(axiom, (j, i), f"{name} reused at {j} and {i}"))
+            else:
+                first[label] = (i, single)
+    return out, first
+
+
 def validate_model(m: MulticoloredModel) -> ValidationReport:
     """Check every model invariant; violations are data, not failures."""
-    out: list[Violation] = []
-    seen: dict[int, tuple[int, str]] = {}  # color -> (position, tag)
-    for i, p in enumerate(m.points):
-        if isinstance(p, RPoint):
-            tagged = [(p.color, "R")]
-        else:
-            if not p.colors:
-                out.append(Violation("Tprime.2", (i,), f"point {i} carries no color"))
-            tagged = [(c, "S") for c in sorted(p.colors)]
-        for color, tag in tagged:
-            if not 1 <= color <= m.k:
-                out.append(
-                    Violation(
-                        "Tprime.range", (i,), f"color {color} at {i} outside 1..{m.k}"
-                    )
-                )
-            if color in seen:
-                j, other = seen[color]
-                axiom = {("R", "R"): "Tprime.5", ("S", "S"): "Tprime.6"}.get(
-                    (other, tag), "Tprime.7"
-                )
-                out.append(
-                    Violation(axiom, (j, i), f"color {color} reused at {j} and {i}")
-                )
-            else:
-                seen[color] = (i, tag)
+    out, first = _walk(m.points, "Tprime.2", "Tprime.7", {(True, True): "Tprime.5", (False, False): "Tprime.6"})
+    for color, (i, _) in first.items():
+        if not 1 <= color <= m.k:
+            out.append(Violation("Tprime.range", (i,), f"color {color} at {i} outside 1..{m.k}"))
     if m.adjacency_constrained:
         for i in range(len(m.points) - 1):
             if isinstance(m.points[i], RPoint) and isinstance(m.points[i + 1], RPoint):
-                out.append(
-                    Violation(
-                        "Tprime.3b", (i, i + 1), f"consecutive R-points at {i},{i + 1}"
-                    )
-                )
+                out.append(Violation("Tprime.3b", (i, i + 1), f"consecutive R-points at {i},{i + 1}"))
     return ValidationReport(tuple(out))
 
 
@@ -240,29 +229,12 @@ def _kind_class(kind: BlockKind) -> str:
 
 
 def validate_description(d: OrderingDescription) -> ValidationReport:
-    out: list[Violation] = []
-    seen: dict[BlockKind, int] = {}
-    for i, seg in enumerate(d.segments):
-        kinds = [seg.kind] if isinstance(seg, SingletonBlock) else sorted(seg.kinds, key=kind_key)
-        if isinstance(seg, Shuffle) and not seg.kinds:
-            out.append(Violation("T.shuffle_empty", (i,), f"empty shuffle at {i}"))
-        for kind in kinds:
-            if isinstance(kind, Finite) and kind.size < 1:
-                out.append(
-                    Violation("T.finite_size", (i,), f"finite kind of size {kind.size} at {i}")
-                )
-            if kind in seen:
-                out.append(
-                    Violation(
-                        "T.disjoint",
-                        (seen[kind], i),
-                        f"kind {kind_to_json(kind)} reused at {seen[kind]} and {i}",
-                    )
-                )
-            else:
-                seen[kind] = i
-    for i in range(len(d.segments) - 1):
-        left, right = d.segments[i], d.segments[i + 1]
+    out, first = _walk(d, "T.shuffle_empty", "T.disjoint", {})
+    for kind, (i, _) in first.items():
+        if isinstance(kind, Finite) and kind.size < 1:
+            out.append(Violation("T.finite_size", (i,), f"finite kind of size {kind.size} at {i}"))
+    for i in range(len(d) - 1):
+        left, right = d[i], d[i + 1]
         if isinstance(left, SingletonBlock) and isinstance(right, SingletonBlock):
             pair = (_kind_class(left.kind), _kind_class(right.kind))
             if pair in _SINGLETON_ADJACENCY:
@@ -272,25 +244,8 @@ def validate_description(d: OrderingDescription) -> ValidationReport:
 
 
 def validate_colored_description(d: ColoredDescription) -> ValidationReport:
-    """Colored descriptions only require globally unique colors."""
-    out: list[Violation] = []
-    seen: dict[int, int] = {}
-    for i, seg in enumerate(d.segments):
-        colors = [seg.color] if isinstance(seg, RPoint) else sorted(seg.colors)
-        if isinstance(seg, SPoint) and not seg.colors:
-            out.append(Violation("T.shuffle_empty", (i,), f"empty shuffle at {i}"))
-        for color in colors:
-            if color in seen:
-                out.append(
-                    Violation(
-                        "T.disjoint",
-                        (seen[color], i),
-                        f"color {color} reused at {seen[color]} and {i}",
-                    )
-                )
-            else:
-                seen[color] = i
-    return ValidationReport(tuple(out))
+    """Colored descriptions only require nonempty shuffles and globally unique colors."""
+    return ValidationReport(tuple(_walk(d, "T.shuffle_empty", "T.disjoint", {})[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +320,7 @@ def _colors(value, what: str) -> frozenset[int]:
     return _distinct(frozenset(value), value, what)
 
 
-def _points_from_json(entries: list, r_tag: str, s_tag: str) -> list[Point]:
+def _points_from_json(entries: list, r_tag: str, s_tag: str) -> tuple[Point, ...]:
     """Inverse of _points_to_json; an entry of another type is refused."""
     points: list[Point] = []
     for entry in entries:
@@ -377,7 +332,13 @@ def _points_from_json(entries: list, r_tag: str, s_tag: str) -> list[Point]:
         else:
             entry_name = "point" if r_tag == "R" else "segment"
             raise ValueError(f"unknown {entry_name} type {tag!r}")
-    return points
+    return tuple(points)
+
+
+def _malformed(what: str, exc: Exception) -> ValueError:
+    """The error a reader raises when `data` lacks a key or has the wrong shape."""
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"malformed {what} JSON: {detail}")
 
 
 def model_from_dict(data: dict) -> MulticoloredModel:
@@ -388,7 +349,7 @@ def model_from_dict(data: dict) -> MulticoloredModel:
         constrained = _bool(data["adjacency_constrained"], "adjacency_constrained")
         points = _points_from_json(_list(data["points"], "points"), "R", "S")
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed model JSON: {exc}") from exc
+        raise _malformed("model", exc) from exc
     return MulticoloredModel(k, points, constrained)
 
 
@@ -410,7 +371,7 @@ def kind_from_json(data) -> BlockKind:
 
 def description_to_dict(d: OrderingDescription) -> dict:
     segments = []
-    for seg in d.segments:
+    for seg in d:
         if isinstance(seg, SingletonBlock):
             segments.append({"type": "block", "kind": kind_to_json(seg.kind)})
         else:
@@ -432,17 +393,16 @@ def description_from_dict(data: dict) -> OrderingDescription:
             else:
                 raise ValueError(f"unknown segment type {entry['type']!r}")
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed description JSON: {exc}") from exc
-    return OrderingDescription(segments)
+        raise _malformed("description", exc) from exc
+    return tuple(segments)
 
 
 def colored_description_to_dict(d: ColoredDescription) -> dict:
-    return {"segments": _points_to_json(d.segments, "block", "shuffle")}
+    return {"segments": _points_to_json(d, "block", "shuffle")}
 
 
 def colored_description_from_dict(data: dict) -> ColoredDescription:
     try:
-        segments = _points_from_json(_list(data["segments"], "segments"), "block", "shuffle")
+        return _points_from_json(_list(data["segments"], "segments"), "block", "shuffle")
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed colored description JSON: {exc}") from exc
-    return ColoredDescription(segments)
+        raise _malformed("colored description", exc) from exc

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from homcount import asymptotics, combinatorics, correspondence, counting, enumeration, kernel, routes, series
-from homcount.model import FiniteColoredOrdering
 
 I_REFERENCE = [
     3, 12, 71, 558, 5487, 64734, 891039, 14016774, 248057927, 4877703126,
@@ -181,7 +180,7 @@ def _series_ring():
 
 def _finite_homogeneity():
     ok = all(
-        correspondence.is_finite_homogeneous(FiniteColoredOrdering(colors)) == (len(set(colors)) == length)
+        correspondence.is_finite_homogeneous(colors) == (len(set(colors)) == length)
         for length in range(7)
         for colors in itertools.product([1, 2, 3], repeat=length)
     )

@@ -136,6 +136,8 @@ def test_approx_A_range_errors():
 def test_bound_ratio_examples():
     assert bound_ratio_I(1) == pytest.approx(3 / 2.123, rel=1e-9)
     assert bound_ratio_I(13) < bound_ratio_I(6)
+    with pytest.raises(ValueError, match="^bound_ratio_I requires k >= 0, got -1$"):
+        bound_ratio_I(-1)
 
 
 def test_bound_ratio_monotone_on_reference_range():

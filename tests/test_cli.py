@@ -638,11 +638,17 @@ _LONG_NUMBER_ERROR = f"Exceeds the limit ({sys.get_int_max_str_digits()} digits)
         (["expand"], _LONG_NUMBER_MODEL, f"invalid JSON on stdin: {_LONG_NUMBER_ERROR}"),
         (["expand", "--input", "long.json"], _LONG_NUMBER_MODEL,
          f"invalid JSON in long.json: {_LONG_NUMBER_ERROR}"),
+        (["expand"], json.dumps({"k": 2, "points": []}),
+         "malformed model JSON: missing key 'adjacency_constrained'"),
+        (["contract", "--k", "1"], "{}", "malformed description JSON: missing key 'segments'"),
+        (["contract", "--k", "1", "--unconstrained"], "{}",
+         "malformed colored description JSON: missing key 'segments'"),
     ],
     ids=["deep-nesting", "contract-negative-k", "contract-colored-negative-k", "expand-negative-k",
          "repeated-color", "repeated-shuffle-color", "repeated-kind", "verify-negative-terms",
          "verify-negative-cap", "count-negative-cap", "enumerate-negative-cap", "count-recurrence-negative-cap",
-         "count-egf-negative-cap", "empty-stdin", "truncated-file", "long-number-stdin", "long-number-file"],
+         "count-egf-negative-cap", "empty-stdin", "truncated-file", "long-number-stdin", "long-number-file",
+         "model-missing-key", "description-missing-key", "colored-missing-key"],
 )
 def test_malformed_inputs_are_usage_errors(tmp_path, monkeypatch, argv, text, message):
     if "--input" in argv:  # the row's text is the named file's, and stdin stays empty

@@ -91,6 +91,8 @@ def test_stirling2_examples():
 def test_stirling2_conventions():
     assert stirling2(5, 0) == 0
     assert stirling2(3, 4) == 0
+    with pytest.raises(ValueError, match=r"^stirling2 arguments must be nonnegative, got \(-1, 0\)$"):
+        stirling2(-1, 0)
 
 
 def test_stirling2_against_partition_enumeration():

@@ -86,7 +86,7 @@ def test_expand_colored_examples():
 def test_expand_colored_keeps_the_model_points():
     for k in range(5):
         for m in enumerate_models(k, False):
-            assert expand_colored(m).segments == m.points
+            assert expand_colored(m) == m.points
 
 
 def test_contract_names_the_first_label_in_canonical_order():
@@ -142,7 +142,7 @@ def test_expanded_descriptions_are_disjoint_blocks_and_shuffles():
     for m in enumerate_models(4, True):
         d = expand_model(m)
         seen = set()
-        for seg in d.segments:
+        for seg in d:
             kinds = {seg.kind} if isinstance(seg, SingletonBlock) else set(seg.kinds)
             assert kinds, "empty segment"
             assert not (kinds & seen)
@@ -229,12 +229,12 @@ def test_homogeneity_reduction():
 
 def permutation_filter_automorphisms(o):
     """Reference: filter all size! permutations for increasing, color-preserving maps."""
-    size = len(o.colors)
+    size = len(o)
     return [
         perm
         for perm in itertools.permutations(range(size))
         if all(perm[i] < perm[i + 1] for i in range(size - 1))
-        and all(o.colors[perm[i]] == o.colors[i] for i in range(size))
+        and all(o[perm[i]] == o[i] for i in range(size))
     ]
 
 

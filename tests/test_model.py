@@ -31,34 +31,77 @@ from homcount.model import (
 
 
 def all_point_choices(k):
-    yield from (RPoint(c) for c in range(1, k + 1))
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(range(1, k + 1), size):
+    """Every point over the colors 0..k+1: one below and one above the range, and the empty S-set."""
+    colors = range(k + 2)
+    yield from (RPoint(c) for c in colors)
+    for size in range(len(colors) + 1):
+        for combo in itertools.combinations(colors, size):
             yield SPoint(combo)
 
 
 def naive_model_check(m):
-    """Direct restatement of the model axioms, shared with no validator code."""
-    used = []
+    """The set of model axioms `m` breaks, restated directly; shared with no validator code.
+    A reused color breaks Tprime.5 (R after R), Tprime.6 (S after S) or Tprime.7
+    (mixed), each reuse classed against the color's first holder."""
+    broken, first_tag = set(), {}
     for p in m.points:
-        colors = [p.color] if isinstance(p, RPoint) else sorted(p.colors)
-        if not colors:
-            return False
-        if any(not (1 <= c <= m.k) for c in colors):
-            return False
-        used.extend(colors)
-    if len(used) != len(set(used)):
-        return False
-    if m.adjacency_constrained:
-        for a, b in zip(m.points, m.points[1:]):
-            if isinstance(a, RPoint) and isinstance(b, RPoint):
-                return False
-    return True
+        if isinstance(p, RPoint):
+            tagged = [(p.color, "R")]
+        else:
+            if not p.colors:
+                broken.add("Tprime.2")
+            tagged = [(c, "S") for c in p.colors]
+        for color, tag in tagged:
+            if not 1 <= color <= m.k:
+                broken.add("Tprime.range")
+            if color in first_tag:
+                broken.add({"RR": "Tprime.5", "SS": "Tprime.6"}.get(first_tag[color] + tag, "Tprime.7"))
+            else:
+                first_tag[color] = tag
+    if m.adjacency_constrained and any(
+        isinstance(a, RPoint) and isinstance(b, RPoint) for a, b in zip(m.points, m.points[1:])
+    ):
+        broken.add("Tprime.3b")
+    return broken
+
+
+def naive_colored_check(points):
+    """The axioms a colored description breaks: an empty shuffle, or a color in two points."""
+    broken = set()
+    if any(isinstance(p, SPoint) and not p.colors for p in points):
+        broken.add("T.shuffle_empty")
+    held = [{p.color} if isinstance(p, RPoint) else set(p.colors) for p in points]
+    if any(a & b for a, b in itertools.combinations(held, 2)):
+        broken.add("T.disjoint")
+    return broken
 
 
 def all_point_sequences(k, max_len):
     for n in range(max_len + 1):
         yield from itertools.product(all_point_choices(k), repeat=n)
+
+
+# Two adjacent singleton blocks glue into one when the left has a greatest element
+# (finite, omega*) and the right a least one (finite, omega); the axiom says which.
+_GLUED = {(True, True): "T.4", (True, False): "T.5", (False, True): "T.6", (False, False): "T.7"}
+
+
+def naive_description_check(segments):
+    """The axioms a description breaks, restated from the block-sum argument."""
+    broken = set()
+    held = [{s.kind} if isinstance(s, SingletonBlock) else set(s.kinds) for s in segments]
+    if any(isinstance(s, Shuffle) and not s.kinds for s in segments):
+        broken.add("T.shuffle_empty")
+    if any(isinstance(kind, Finite) and kind.size < 1 for kinds in held for kind in kinds):
+        broken.add("T.finite_size")
+    if any(a & b for a, b in itertools.combinations(held, 2)):
+        broken.add("T.disjoint")
+    for left, right in zip(segments, segments[1:]):
+        if isinstance(left, SingletonBlock) and isinstance(right, SingletonBlock):
+            left_finite, right_finite = isinstance(left.kind, Finite), isinstance(right.kind, Finite)
+            if (left_finite or left.kind == OMEGA_STAR) and (right_finite or right.kind == OMEGA):
+                broken.add(_GLUED[left_finite, right_finite])
+    return broken
 
 
 def test_validate_model_examples():
@@ -89,7 +132,21 @@ def test_validate_model_axiom_ids():
 def test_validator_matches_naive_axiom_checker(k, constrained):
     for points in all_point_sequences(k, 3):
         m = MulticoloredModel(k, points, constrained)
-        assert validate_model(m).ok == naive_model_check(m), m
+        assert validate_model(m).axioms() == naive_model_check(m), m
+        if not constrained:  # the same points as the colored description of m
+            d = ColoredDescription(points)
+            assert validate_colored_description(d).axioms() == naive_colored_check(points), d
+
+
+def test_description_validator_matches_naive_axiom_checker():
+    kinds = [Finite(0), Finite(1), Finite(2), OMEGA, OMEGA_STAR, ZETA]
+    segments = [SingletonBlock(kind) for kind in kinds] + [
+        Shuffle(combo) for size in range(len(kinds) + 1) for combo in itertools.combinations(kinds, size)
+    ]
+    for n in range(3):
+        for segs in itertools.product(segments, repeat=n):
+            d = OrderingDescription(segs)
+            assert validate_description(d).axioms() == naive_description_check(segs), d
 
 
 def test_validate_description_examples():
@@ -151,7 +208,7 @@ def test_validate_colored_description():
 
 
 def test_colored_points_are_the_model_points():
-    assert ColoredDescription([RPoint(1), SPoint({2})]).segments == (RPoint(1), SPoint({2}))
+    assert ColoredDescription([RPoint(1), SPoint({2})]) == (RPoint(1), SPoint({2}))
 
 
 def test_canonical_key_examples():
@@ -229,6 +286,8 @@ def test_json_rejects_malformed():
         model_from_dict({"k": 1, "adjacency_constrained": False, "points": [{"type": "block", "color": 1}]})
     with pytest.raises(ValueError, match="^unknown segment type 'R'$"):
         colored_description_from_dict({"segments": [{"type": "R", "color": 1}]})
+    with pytest.raises(ValueError, match="^unknown segment type 'R'$"):
+        description_from_dict({"segments": [{"type": "R", "kind": "omega"}]})
 
 
 def test_json_rejects_wrong_types():

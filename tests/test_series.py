@@ -74,6 +74,8 @@ def test_mul_edge_cases():
     assert ps_mul(TruncatedSeries(a), TruncatedSeries(b)).coeffs == tuple(binomial_convolution_oracle(a, b, 2))
     assert ps_mul(TruncatedSeries([frac(-2, 7)]), TruncatedSeries(b)).coeffs == (frac(4, 77),)
     assert ps_mul(ps_constant(0, 3), TruncatedSeries(a)) == ps_constant(0, 3)
+    with pytest.raises(ValueError, match="^a truncated series has at least its constant term$"):
+        TruncatedSeries([])
 
 
 def test_mul_at_order_60_where_the_lcm_is_60_factorial():
