@@ -49,7 +49,7 @@ def _point_moves(avail: int) -> tuple[tuple, tuple]:
     of (point, rest, size) in canonical order. The moves are kernel._children's;
     points are shared between tables."""
     r_rests, s_rests = kernel._children(avail)
-    r_moves = tuple((_r_point(avail ^ rest), rest, 1) for rest in r_rests)
+    r_moves = tuple([(_r_point(avail ^ rest), rest, 1) for rest in r_rests])
     s_moves = [(_s_point(avail ^ rest), rest, (avail ^ rest).bit_count()) for rest in s_rests]
     s_moves.sort(key=lambda move: point_key(move[0]))
     return r_moves, tuple(s_moves)

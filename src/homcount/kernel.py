@@ -4,17 +4,28 @@ Every brute-force count in the package comes from root_split, which walks the
 full tree of models over a color bitmask. A model's children are read from a
 per-mask move table (`_moves`), built the first time its free-color mask is
 reached and shared by every walk. The move rule itself is `_children`, which
-enumeration's model streams read too. A child that leaves no free color is a
-model without extensions and a child that leaves one free color c has at most
-three models in its subtree (itself unless surjective, S{c}, and R(c) when an
-R-point may come next), so both are counted in their parent instead of being
-visited. Every other model is one recursion call. No count is memoized on
-purpose: these counts are the independent oracle for the recurrence formulas,
-so no model's count is taken from another model's.
+enumeration's model streams read too. Small subtrees are counted in their
+parent instead of being visited, by the number of free colors a child leaves:
 
-The move tables hold one entry per (mask, child) pair, 3^k in all: at the
-bound MAX_K = 12 that is about 19 MB, and a walk at k=12 could not finish
-anyway (I(10) is already about 4.9e9 models).
+  0  the child is a model without extensions: 1;
+  1  (color c) the child unless surjective, S{c}, and R(c) when an R-point may
+     come next;
+  2  (colors c, d) the child unless surjective, S{c,d}, the one-color subtrees
+     of S{c} and S{d}, and those of R(c) and R(d) when an R-point may come next.
+
+Every model with three or more free colors is one recursion call, and the
+fold stops there on purpose. A two-color subtree is a fixed list of cases; a
+larger one is a walk of its own, and counting it from its number of free
+colors would be a memo keyed on that number, the binomial convolution of the
+recurrences restated. No count is memoized: these counts are the independent
+oracle for the recurrence formulas, so no model's count is taken from
+another model's.
+
+The move tables hold one folded tuple per mask, whose deep entries are the
+children with three or more free colors, fewer than 3^k entries in all: at
+the bound MAX_K = 12 that is about 17.4 MB (tracemalloc over all 4,096
+masks), and a walk at k=12 could not finish anyway (I(10) is already about
+4.9e9 models).
 
 Two bounds guard the brute-force layer. check_k refuses k outside 0..MAX_K,
 where no move table could be built; check_cap refuses k beyond the brute-force
@@ -84,18 +95,17 @@ def check_cap(k: int, cap: int | None) -> None:
         raise BruteForceCapError(k, limit)
 
 
-def _fold(rests) -> tuple[int, int, tuple[int, ...]]:
-    """(children with no free color, children with one, the other children's masks)."""
-    done = one = 0
+def _fold(rests) -> tuple[int, int, int, tuple[int, ...]]:
+    """(children with no free color, with one, with two, the other children's masks)."""
+    small = [0, 0, 0]
     deep = []
     for rest in rests:
-        if not rest:
-            done += 1
-        elif not rest & (rest - 1):
-            one += 1
+        free = rest.bit_count()
+        if free < 3:
+            small[free] += 1
         else:
             deep.append(rest)
-    return done, one, tuple(deep)
+    return (*small, tuple(deep))
 
 
 def _children(avail: int) -> tuple[list[int], list[int]]:
@@ -119,7 +129,7 @@ def _children(avail: int) -> tuple[list[int], list[int]]:
 @cache
 def _moves(avail: int) -> tuple:
     """The R-move and S-move children of a model whose free colors are `avail`,
-    folded: (r_done, r_one, r_deep, s_done, s_one, s_deep)."""
+    folded: (r_done, r_one, r_two, r_deep, s_done, s_one, s_two, s_deep)."""
     r_rests, s_rests = _children(avail)
     return _fold(r_rests) + _fold(s_rests)
 
@@ -140,16 +150,19 @@ def root_split(k: int, constrained: bool, surjective: bool, r_points: bool = Tru
     inner = 0 if surjective else 1  # what a model with colors left counts
     one_after_r = inner + 1 + after_r  # the subtree of a one-color child reached by an R-point
     one_after_s = inner + 1 + r_points  # ... and by an S-point
+    # a two-color child: itself, S of both colors, S of either, R of either when an R-point may follow
+    two_after_r = inner + 1 + 2 * one_after_s + 2 * one_after_r * after_r
+    two_after_s = inner + 1 + 2 * one_after_s + 2 * one_after_r * r_points
 
     def walk(avail: int, r_ok: bool) -> int:
         """This model plus every extension of it, given its free colors `avail`:
-        nonempty, and two or more whenever `r_ok` is set."""
-        _, r_one, r_deep, s_done, s_one, s_deep = _moves(avail)
-        total = inner + s_done + s_one * one_after_s
+        nonempty, and three or more whenever `r_ok` is set."""
+        _, _, r_two, r_deep, s_done, s_one, s_two, s_deep = _moves(avail)
+        total = inner + s_done + s_one * one_after_s + s_two * two_after_s
         for rest in s_deep:
             total += walk(rest, r_points)
-        if r_ok:  # only deep children get here: no R-move leaves them without colors
-            total += r_one * one_after_r
+        if r_ok:  # a model walked with r_ok has three or more colors: each R-move leaves two or more
+            total += r_two * two_after_r
             for rest in r_deep:
                 total += walk(rest, after_r)
         return total
@@ -158,8 +171,9 @@ def root_split(k: int, constrained: bool, surjective: bool, r_points: bool = Tru
     s_first = walk(full, False)  # the root with only its S-point extensions
     if not r_points:
         return s_first, 0
-    r_done, r_one, r_deep = _moves(full)[:3]
-    return s_first, r_done + r_one * one_after_r + sum(walk(rest, after_r) for rest in r_deep)
+    r_done, r_one, r_two, r_deep = _moves(full)[:4]
+    r_first = r_done + r_one * one_after_r + r_two * two_after_r
+    return s_first, r_first + sum(walk(rest, after_r) for rest in r_deep)
 
 
 def count_models(k: int, constrained: bool) -> int:

@@ -263,7 +263,7 @@ def canonical_key(m: MulticoloredModel) -> tuple[int, tuple[tuple[int, tuple[int
     """The sort key of the canonical order on models of one k: shorter first,
     then pointwise by point_key. Equal keys mean equal points, so the order is
     total; the streams of enumeration yield models in it."""
-    return (len(m.points), tuple(point_key(p) for p in m.points))
+    return (len(m.points), tuple([point_key(p) for p in m.points]))
 
 
 # ---------------------------------------------------------------------------

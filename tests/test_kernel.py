@@ -56,3 +56,15 @@ def test_root_split_matches_call_per_model_walk(constrained, surjective, r_point
             k, constrained, surjective, r_points
         ), k
 
+
+@pytest.mark.parametrize("constrained,surjective,r_points", itertools.product([True, False], repeat=3))
+def test_walk_visits_only_models_with_three_or_more_free_colors(monkeypatch, constrained, surjective, r_points):
+    # children with at most two free colors are counted in their parent
+    asked = []
+    moves = kernel._moves
+    monkeypatch.setattr(kernel, "_moves", lambda avail: asked.append(avail) or moves(avail))
+    for k in range(7):
+        asked.clear()
+        kernel.root_split(k, constrained, surjective, r_points)
+        assert all(avail.bit_count() >= 3 for avail in asked if avail != (1 << k) - 1), k
+        assert k < 4 or len(set(asked)) > 1, k  # the recorder sees the walk's calls
