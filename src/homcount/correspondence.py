@@ -1,14 +1,17 @@
 """Computable maps between models and descriptions, plus the block-kind classifier.
 
-A constrained model expands pointwise into an ordering description: an R-point
-of color i becomes a singleton block of size i, an S-point with color set A
-becomes a shuffle of the blocks sized by A. An unconstrained model expands
-into a colored description, which is the model's own tuple of points (no
-adjacency rules, no k). Expansion is a pure re-tagging, the colored one the
-identity on points, and contraction is the exact inverse. Contraction names the
-first out-of-range label in canonical order (segments in order, kinds by
-kind_key, colors ascending), so the message is the same on every run; a
-kind is named in its wire encoding.
+A description is made of the model's own points over block kinds, and a finite
+kind is its size, so color i and the block of size i are the same label. A
+constrained model therefore expands into an ordering description that is its
+own tuple of points: an R-point of color i is a singleton block of size i, an
+S-point with color set A a shuffle of the blocks sized by A. An unconstrained
+model expands into a colored description, which is also the model's own tuple
+of points (no adjacency rules, no k). Both expansions are the identity on
+points after validation, and contraction is the exact inverse: validation, the
+range rule, and the model of the same points. Label sets are stored in
+canonical order (kinds by kind_key, colors ascending), so contraction names the
+first out-of-range label in points order and then in stored order, and the
+message is the same on every run; a kind is named in its wire encoding.
 
 classify_cnm decides whether a description stays homogeneous when the language
 keeps predicates for n successors, m predecessors, and distances below n+m:
@@ -32,19 +35,14 @@ from typing import Union
 from homcount.model import (
     BlockKind,
     ColoredDescription,
-    Finite,
     FiniteColoredOrdering,
     MulticoloredModel,
     OMEGA,
     OMEGA_STAR,
     OrderingDescription,
     RPoint,
-    Shuffle,
-    SingletonBlock,
-    SPoint,
     ValidationReport,
     ZETA,
-    kind_key,
     kind_to_json,
     validate_colored_description,
     validate_description,
@@ -80,34 +78,18 @@ def expand_model(m: MulticoloredModel) -> OrderingDescription:
     if not m.adjacency_constrained:
         raise ValueError("expand_model expects an adjacency-constrained model")
     _require(validate_model(m), "model")
-    # a tuple of a list, not of a generator: CPython sizes a generator's tuple by
-    # a guess and shrinks it, so each call takes a fresh block and peak RSS creeps up
-    return tuple([
-        SingletonBlock(Finite(p.color)) if isinstance(p, RPoint) else Shuffle(Finite(c) for c in p.colors)
-        for p in m.points
-    ])
+    return m.points
 
 
 def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_model; every kind must be finite with size <= k."""
     _require_nonnegative(k)
     _require(validate_description(d), "description")
-    points = []
-    for seg in d:
-        kinds = [seg.kind] if isinstance(seg, SingletonBlock) else seg.kinds
-        for kind in kinds:
-            if not isinstance(kind, Finite) or kind.size > k:
-                # name the first offender in canonical order; sorting every shuffle up front
-                # would cost the valid path a key call per kind
-                kind = min((x for x in kinds if not isinstance(x, Finite) or x.size > k), key=kind_key)
-                raise ValueError(
-                    f"description not in finite-label range: kind {kind_to_json(kind)} with k={k}"
-                )
-        if isinstance(seg, SingletonBlock):
-            points.append(RPoint(seg.kind.size))
-        else:
-            points.append(SPoint(kind.size for kind in seg.kinds))
-    return MulticoloredModel(k, points, adjacency_constrained=True)
+    for p in d:
+        for kind in (p.color,) if type(p) is RPoint else p.colors:
+            if type(kind) is not int or kind > k:
+                raise ValueError(f"description not in finite-label range: kind {kind_to_json(kind)} with k={k}")
+    return MulticoloredModel(k, d, True)
 
 
 def expand_colored(m: MulticoloredModel) -> ColoredDescription:
@@ -122,9 +104,9 @@ def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_colored."""
     _require_nonnegative(k)
     _require(validate_colored_description(d), "colored description")
-    for seg in d:
-        for c in [seg.color] if isinstance(seg, RPoint) else sorted(seg.colors):
-            if not 1 <= c <= k:
+    for p in d:
+        for c in (p.color,) if type(p) is RPoint else p.colors:
+            if type(c) is not int or not 1 <= c <= k:  # a bool or a block kind is no color
                 raise ValueError(f"color {c} outside 1..{k}")
     return MulticoloredModel(k, d, adjacency_constrained=False)
 
@@ -136,8 +118,8 @@ def _check_extended_nat(name: str, value: ExtendedNat) -> None:
 
 
 def _kind_permitted(kind: BlockKind, n: ExtendedNat, m: ExtendedNat) -> bool:
-    if isinstance(kind, Finite):
-        return kind.size <= n + m + 1
+    if type(kind) is int:
+        return kind <= n + m + 1
     if kind is OMEGA:
         return m == math.inf
     if kind is OMEGA_STAR:
@@ -152,8 +134,8 @@ def classify_cnm(d: OrderingDescription, n: ExtendedNat, m: ExtendedNat) -> bool
     _check_extended_nat("n", n)
     _check_extended_nat("m", m)
     _require(validate_description(d), "description")
-    for seg in d:
-        kinds = [seg.kind] if isinstance(seg, SingletonBlock) else seg.kinds
+    for p in d:
+        kinds = (p.color,) if type(p) is RPoint else p.colors
         if not all(_kind_permitted(kind, n, m) for kind in kinds):
             return False
     return True

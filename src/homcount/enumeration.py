@@ -2,14 +2,16 @@
 
 The stream is the ground truth that every counting formula is checked against.
 Models are produced shortest first, then lexicographically by point encoding
-(R-points before S-points, R by color, S by sorted color list), exactly the
-order of model.canonical_key. One generator, _stream, serves all three
+(R-points before S-points, R by color, S by its color tuple, which an SPoint
+stores in ascending order), exactly the order of model.canonical_key. One generator, _stream, serves all three
 public streams; it recurses over the next point and reads that point's
 candidates from a per-mask move table (_point_moves) of (point, rest, size)
 triples in canonical order, sorted by model.point_key. The moves come from
 kernel._children, the one statement of the move rule that the counting walk
 reads too. Each RPoint and SPoint is built once per color or color mask and
-shared by every table and every model (points are frozen).
+shared by every table and every model (points are frozen). The same points are
+the streamed models' descriptions too: a description is a tuple of points over
+block kinds, and the finite kind of size i is color i.
 
 Counting never materializes models: it goes through homcount.kernel, which
 walks the same choice tree and splits the surjective models into S-first and

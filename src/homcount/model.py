@@ -1,4 +1,4 @@
-"""Finite encodable structures: multicolored models and symbolic ordering descriptions.
+"""Encodable finite structures: multicolored models and symbolic ordering descriptions.
 
 A multicolored model is a finite sequence of points over colors 1..k. Each
 point either carries a single color as an R-point (a singleton block in the
@@ -8,18 +8,25 @@ model. With ``adjacency_constrained`` set, two R-points may not be consecutive
 (two adjacent singleton blocks would merge); without it, the same data encodes
 a homogeneous k-colored ordering instead.
 
-An ordering description is the block-level picture: a sequence of segments,
-each a singleton block of some kind (a finite size, omega, omega*, or zeta) or
-a shuffle of a set of kinds, with every kind used at most once overall and the
-singleton adjacencies that would glue blocks together forbidden.
+An ordering description is the block-level picture, and it is made of the same
+points over block kinds instead of colors: a finite kind is its size, a plain
+int, and the infinite kinds are omega, omega* and zeta. An R-point is a
+singleton block of its kind, an S-point a shuffle of its kinds. Every kind is
+used at most once overall, and the singleton adjacencies that would glue
+blocks together are forbidden. A constrained model's points are therefore its
+own description, color i being the block of size i.
 
 A colored description, the picture of an unconstrained model, is that model's
-own tuple of ``RPoint`` and ``SPoint`` values without k. Its rules are that
-no color repeats and no shuffle is empty. One point codec writes and reads
-both wire formats, which differ only in their type tags: "R"/"S" for models,
+own tuple of points without k. Its rules are that no color repeats and no
+shuffle is empty. One point codec writes and reads the model and colored wire
+formats, which differ only in their type tags: "R"/"S" for models,
 "block"/"shuffle" for colored descriptions. Descriptions of both kinds, and
 finite colored orderings (a color per position), are plain tuples; their
 names are type aliases.
+
+An S-point stores its label set once, as a tuple in kind_key order (colors
+ascending, then omega, omega*, zeta), so every reader walks a set in the same
+order under every hash seed; ``SPoint.__init__`` is the one place that sorts.
 
 Validators return violation lists rather than raising. One walk over the
 segments checks the two axioms that every format shares: no set is empty
@@ -34,7 +41,7 @@ first position. Each violation carries a machine-readable axiom identifier:
 ``Tprime.5``    color used by two R-points
 ``Tprime.6``    color used by two S-points
 ``Tprime.7``    color used by both an R-point and an S-point
-``Tprime.range``  color outside 1..k
+``Tprime.range``  color that is not an int in 1..k
 ``T.4``         two consecutive finite singleton blocks
 ``T.5``         finite singleton block directly before an omega block
 ``T.6``         omega* singleton block directly before a finite block
@@ -53,24 +60,47 @@ from typing import Iterable, Union
 
 
 # ---------------------------------------------------------------------------
-# points and models
+# block kinds, points, models and descriptions
+
+
+class InfiniteKind(enum.Enum):
+    OMEGA = "omega"
+    OMEGA_STAR = "omega_star"
+    ZETA = "zeta"
+
+
+OMEGA = InfiniteKind.OMEGA
+OMEGA_STAR = InfiniteKind.OMEGA_STAR
+ZETA = InfiniteKind.ZETA
+
+BlockKind = Union[int, InfiniteKind]  # a finite kind is its size
+
+
+def kind_key(kind: BlockKind) -> tuple[int, int]:
+    """Deterministic sort key: finite kinds (and colors) by size, then omega < omega* < zeta."""
+    if isinstance(kind, InfiniteKind):
+        return (1, [OMEGA, OMEGA_STAR, ZETA].index(kind))
+    return (0, kind)
 
 
 @dataclass(frozen=True)
 class RPoint:
-    """A point carrying exactly one color; encodes a singleton block of that size."""
+    """A point carrying exactly one label: a color in a model, a block kind in a
+    description. It encodes a singleton block of that size or kind."""
 
-    color: int
+    color: BlockKind
 
 
 @dataclass(frozen=True)
 class SPoint:
-    """A point carrying a nonempty color set; encodes a shuffle of those block sizes."""
+    """A point carrying a label set: colors in a model, block kinds in a
+    description. It encodes a shuffle of those blocks. The set is stored once,
+    without repeats, as a tuple in kind_key order."""
 
-    colors: frozenset[int]
+    colors: tuple[BlockKind, ...]
 
-    def __init__(self, colors: Iterable[int]):
-        object.__setattr__(self, "colors", frozenset(colors))
+    def __init__(self, colors: Iterable[BlockKind]):
+        object.__setattr__(self, "colors", tuple(sorted(set(colors), key=kind_key)))
 
 
 Point = Union[RPoint, SPoint]
@@ -97,54 +127,7 @@ class MulticoloredModel:
         return frozenset(used)
 
 
-# ---------------------------------------------------------------------------
-# block kinds, descriptions
-
-
-@dataclass(frozen=True)
-class Finite:
-    """Block of finite size n >= 1."""
-
-    size: int
-
-
-class InfiniteKind(enum.Enum):
-    OMEGA = "omega"
-    OMEGA_STAR = "omega_star"
-    ZETA = "zeta"
-
-
-OMEGA = InfiniteKind.OMEGA
-OMEGA_STAR = InfiniteKind.OMEGA_STAR
-ZETA = InfiniteKind.ZETA
-
-BlockKind = Union[Finite, InfiniteKind]
-
-
-def kind_key(kind: BlockKind) -> tuple[int, int]:
-    """Deterministic sort key: finite kinds by size, then omega < omega* < zeta."""
-    if isinstance(kind, Finite):
-        return (0, kind.size)
-    return (1, [OMEGA, OMEGA_STAR, ZETA].index(kind))
-
-
-@dataclass(frozen=True)
-class SingletonBlock:
-    kind: BlockKind
-
-
-@dataclass(frozen=True)
-class Shuffle:
-    kinds: frozenset[BlockKind]
-
-    def __init__(self, kinds: Iterable[BlockKind]):
-        object.__setattr__(self, "kinds", frozenset(kinds))
-
-
-Segment = Union[SingletonBlock, Shuffle]
-
-
-OrderingDescription = tuple[Segment, ...]
+OrderingDescription = tuple[Point, ...]  # points over block kinds
 ColoredDescription = tuple[Point, ...]  # an unconstrained model's own points, without k
 FiniteColoredOrdering = tuple[int, ...]  # position i has color o[i]
 
@@ -172,31 +155,30 @@ class ValidationReport:
         return {v.axiom for v in self.violations}
 
 
-def _walk(segments, empty: str, reused: str, by_holders: dict) -> tuple[list[Violation], dict]:
+def _walk(points, empty: str, reused: str, by_holders: dict, name) -> tuple[list[Violation], dict]:
     """The two axioms every format shares, walked once: no set is empty
-    (`empty`) and no label is in two segments. A reused label breaks the axiom
-    that `by_holders` names for the pair (first holder is a singleton, this
-    holder is a singleton), else `reused`; it is compared with its first holder.
+    (`empty`) and no label is in two points. A reused label breaks the axiom
+    that `by_holders` names for the pair (first holder is an R-point, this
+    holder is an R-point), else `reused`; it is compared with its first holder
+    and named in the message by `name(label)`.
 
-    Returns the violations and each label's first (position, is_singleton),
-    labels in segment order and, within a set, in canonical order.
+    Returns the violations and each label's first (position, is_r_point),
+    labels in point order and, within a set, in stored (canonical) order.
     """
     out: list[Violation] = []
     first: dict = {}
-    for i, seg in enumerate(segments):
-        if isinstance(seg, (RPoint, SingletonBlock)):
-            single, labels = True, (seg.color if isinstance(seg, RPoint) else seg.kind,)
+    for i, p in enumerate(points):
+        if type(p) is RPoint:
+            single, labels = True, (p.color,)
         else:
-            single = False
-            labels = sorted(seg.colors) if isinstance(seg, SPoint) else sorted(seg.kinds, key=kind_key)
+            single, labels = False, p.colors
             if not labels:
                 out.append(Violation(empty, (i,), f"empty set at {i}"))
         for label in labels:
             if label in first:
                 j, was_single = first[label]
-                name = f"color {label}" if isinstance(seg, (RPoint, SPoint)) else f"kind {kind_to_json(label)}"
                 axiom = by_holders.get((was_single, single), reused)
-                out.append(Violation(axiom, (j, i), f"{name} reused at {j} and {i}"))
+                out.append(Violation(axiom, (j, i), f"{name(label)} reused at {j} and {i}"))
             else:
                 first[label] = (i, single)
     return out, first
@@ -204,9 +186,10 @@ def _walk(segments, empty: str, reused: str, by_holders: dict) -> tuple[list[Vio
 
 def validate_model(m: MulticoloredModel) -> ValidationReport:
     """Check every model invariant; violations are data, not failures."""
-    out, first = _walk(m.points, "Tprime.2", "Tprime.7", {(True, True): "Tprime.5", (False, False): "Tprime.6"})
+    out, first = _walk(m.points, "Tprime.2", "Tprime.7", {(True, True): "Tprime.5", (False, False): "Tprime.6"},
+                       "color {}".format)
     for color, (i, _) in first.items():
-        if not 1 <= color <= m.k:
+        if type(color) is not int or not 1 <= color <= m.k:  # a bool or a block kind is no color
             out.append(Violation("Tprime.range", (i,), f"color {color} at {i} outside 1..{m.k}"))
     if m.adjacency_constrained:
         for i in range(len(m.points) - 1):
@@ -225,18 +208,22 @@ _SINGLETON_ADJACENCY = {
 
 
 def _kind_class(kind: BlockKind) -> str:
-    return "finite" if isinstance(kind, Finite) else kind.value
+    return "finite" if type(kind) is int else kind.value
+
+
+def _kind_name(kind: BlockKind) -> str:
+    return f"kind {kind_to_json(kind)}"
 
 
 def validate_description(d: OrderingDescription) -> ValidationReport:
-    out, first = _walk(d, "T.shuffle_empty", "T.disjoint", {})
+    out, first = _walk(d, "T.shuffle_empty", "T.disjoint", {}, _kind_name)
     for kind, (i, _) in first.items():
-        if isinstance(kind, Finite) and kind.size < 1:
-            out.append(Violation("T.finite_size", (i,), f"finite kind of size {kind.size} at {i}"))
+        if type(kind) is int and kind < 1:
+            out.append(Violation("T.finite_size", (i,), f"finite kind of size {kind} at {i}"))
     for i in range(len(d) - 1):
         left, right = d[i], d[i + 1]
-        if isinstance(left, SingletonBlock) and isinstance(right, SingletonBlock):
-            pair = (_kind_class(left.kind), _kind_class(right.kind))
+        if isinstance(left, RPoint) and isinstance(right, RPoint):
+            pair = (_kind_class(left.color), _kind_class(right.color))
             if pair in _SINGLETON_ADJACENCY:
                 axiom, label = _SINGLETON_ADJACENCY[pair]
                 out.append(Violation(axiom, (i, i + 1), f"{label} at {i},{i + 1}"))
@@ -245,7 +232,7 @@ def validate_description(d: OrderingDescription) -> ValidationReport:
 
 def validate_colored_description(d: ColoredDescription) -> ValidationReport:
     """Colored descriptions only require nonempty shuffles and globally unique colors."""
-    return ValidationReport(tuple(_walk(d, "T.shuffle_empty", "T.disjoint", {})[0]))
+    return ValidationReport(tuple(_walk(d, "T.shuffle_empty", "T.disjoint", {}, "color {}".format)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +240,10 @@ def validate_colored_description(d: ColoredDescription) -> ValidationReport:
 
 
 def point_key(p: Point) -> tuple[int, tuple[int, ...]]:
-    """R-points before S-points; R by color, S by sorted color tuple."""
+    """R-points before S-points; R by color, S by its stored (ascending) color tuple."""
     if isinstance(p, RPoint):
         return (0, (p.color,))
-    return (1, tuple(sorted(p.colors)))
+    return (1, p.colors)
 
 
 def canonical_key(m: MulticoloredModel) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
@@ -267,7 +254,7 @@ def canonical_key(m: MulticoloredModel) -> tuple[int, tuple[tuple[int, tuple[int
 
 
 # ---------------------------------------------------------------------------
-# JSON wire formats (bit-exact contracts; color sets are sorted lists, never bitmasks)
+# JSON wire formats (bit-exact contracts; label sets are lists in stored order, never bitmasks)
 
 
 def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str) -> list:
@@ -277,7 +264,7 @@ def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str) -> list:
         if type(p) is RPoint:  # cheaper than isinstance; this runs once per point written
             out.append({"type": r_tag, "color": p.color})
         else:
-            out.append({"type": s_tag, "colors": sorted(p.colors)})
+            out.append({"type": s_tag, "colors": list(p.colors)})
     return out
 
 
@@ -306,18 +293,19 @@ def _list(value, what: str) -> list:
     raise ValueError(f"{what} must be a list, got {value!r}")
 
 
-def _distinct(entries: frozenset, listed: list, what: str) -> frozenset:
-    """`entries`, built from `listed`, if building it merged no two entries."""
-    if len(entries) != len(listed):
+def _s_point(labels: Iterable[BlockKind], listed: list, what: str) -> SPoint:
+    """The S-point of `labels`, read from `listed`, if building it merged no two entries."""
+    point = SPoint(labels)
+    if len(point.colors) != len(listed):
         raise ValueError(f"{what} repeats an entry: {listed!r}")
-    return entries
+    return point
 
 
-def _colors(value, what: str) -> frozenset[int]:
+def _colors(value, what: str) -> SPoint:
     for c in _list(value, what):
         if type(c) is not int:
             raise ValueError(f"a color in {what} must be an integer, got {c!r}")
-    return _distinct(frozenset(value), value, what)
+    return _s_point(value, value, what)
 
 
 def _points_from_json(entries: list, r_tag: str, s_tag: str) -> tuple[Point, ...]:
@@ -328,7 +316,7 @@ def _points_from_json(entries: list, r_tag: str, s_tag: str) -> tuple[Point, ...
         if tag == r_tag:
             points.append(RPoint(_int(entry["color"], "color")))
         elif tag == s_tag:
-            points.append(SPoint(_colors(entry["colors"], "colors")))
+            points.append(_colors(entry["colors"], "colors"))
         else:
             entry_name = "point" if r_tag == "R" else "segment"
             raise ValueError(f"unknown {entry_name} type {tag!r}")
@@ -354,14 +342,14 @@ def model_from_dict(data: dict) -> MulticoloredModel:
 
 
 def kind_to_json(kind: BlockKind):
-    if isinstance(kind, Finite):
-        return {"finite": kind.size}
+    if type(kind) is int:
+        return {"finite": kind}
     return kind.value
 
 
 def kind_from_json(data) -> BlockKind:
     if isinstance(data, dict) and set(data) == {"finite"}:
-        return Finite(_int(data["finite"], "finite size"))
+        return _int(data["finite"], "finite size")
     if isinstance(data, str):
         for member in InfiniteKind:
             if member.value == data:
@@ -371,30 +359,28 @@ def kind_from_json(data) -> BlockKind:
 
 def description_to_dict(d: OrderingDescription) -> dict:
     segments = []
-    for seg in d:
-        if isinstance(seg, SingletonBlock):
-            segments.append({"type": "block", "kind": kind_to_json(seg.kind)})
+    for p in d:
+        if type(p) is RPoint:
+            segments.append({"type": "block", "kind": kind_to_json(p.color)})
         else:
-            segments.append(
-                {"type": "shuffle", "kinds": [kind_to_json(k) for k in sorted(seg.kinds, key=kind_key)]}
-            )
+            segments.append({"type": "shuffle", "kinds": [kind_to_json(kind) for kind in p.colors]})
     return {"segments": segments}
 
 
 def description_from_dict(data: dict) -> OrderingDescription:
     try:
-        segments: list[Segment] = []
+        points: list[Point] = []
         for entry in _list(data["segments"], "segments"):
             if entry["type"] == "block":
-                segments.append(SingletonBlock(kind_from_json(entry["kind"])))
+                points.append(RPoint(kind_from_json(entry["kind"])))
             elif entry["type"] == "shuffle":
                 kinds = _list(entry["kinds"], "kinds")
-                segments.append(Shuffle(_distinct(frozenset(map(kind_from_json, kinds)), kinds, "kinds")))
+                points.append(_s_point(map(kind_from_json, kinds), kinds, "kinds"))
             else:
                 raise ValueError(f"unknown segment type {entry['type']!r}")
     except (KeyError, TypeError) as exc:
         raise _malformed("description", exc) from exc
-    return tuple(segments)
+    return tuple(points)
 
 
 def colored_description_to_dict(d: ColoredDescription) -> dict:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from homcount import correspondence, counting, verify
 from homcount.cli import main
 from homcount.kernel import BruteForceCapError
-from homcount.model import ColoredDescription, OrderingDescription, SPoint, Shuffle
+from homcount.model import ColoredDescription, OrderingDescription, SPoint
 from homcount.routes import ROUTES
 
 GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli.json"
@@ -370,7 +370,7 @@ def test_verify_catches_a_corrupted_route(monkeypatch, seq, method):
 
 def test_round_trip_check_fails_on_an_invalid_expansion(monkeypatch):
     invalid = {
-        "expand_model": lambda m: OrderingDescription([Shuffle([])]),
+        "expand_model": lambda m: OrderingDescription([SPoint([])]),
         "expand_colored": lambda m: ColoredDescription([SPoint([])]),
     }
     for name, expand in invalid.items():
@@ -555,7 +555,7 @@ def test_contract_out_of_range_kind(tmp_path, capsys):
 
 
 def test_contract_names_the_same_kind_under_every_hash_seed():
-    # a shuffle's kinds are a frozenset, whose iteration order follows the hash seed
+    # a shuffle's kinds are stored in canonical order, so the named kind must not follow the hash seed
     src = str(Path(counting.__file__).resolve().parents[1])
     doc = json.dumps({"segments": [{"type": "shuffle", "kinds": ["zeta", "omega", "omega_star"]}]})
     errors = []

@@ -20,15 +20,12 @@ from homcount.correspondence import (
 from homcount.enumeration import enumerate_models
 from homcount.model import (
     ColoredDescription,
-    Finite,
     FiniteColoredOrdering,
     MulticoloredModel,
     OMEGA,
     OrderingDescription,
     RPoint,
     SPoint,
-    Shuffle,
-    SingletonBlock,
     ZETA,
     colored_description_to_dict,
     description_to_dict,
@@ -40,11 +37,11 @@ from homcount.model import (
 def test_expand_examples():
     assert expand_model(MulticoloredModel(1, [])) == OrderingDescription([])
     assert expand_model(MulticoloredModel(2, [RPoint(2)])) == OrderingDescription(
-        [SingletonBlock(Finite(2))]
+        [RPoint(2)]
     )
     assert expand_model(
         MulticoloredModel(3, [SPoint({1, 3}), RPoint(2)])
-    ) == OrderingDescription([Shuffle([Finite(1), Finite(3)]), SingletonBlock(Finite(2))])
+    ) == OrderingDescription([SPoint([1, 3]), RPoint(2)])
 
 
 def test_expand_rejects_invalid_model():
@@ -56,18 +53,18 @@ def test_expand_rejects_invalid_model():
 
 def test_contract_examples():
     assert contract_description(
-        OrderingDescription([SingletonBlock(Finite(2))]), 2
+        OrderingDescription([RPoint(2)]), 2
     ) == MulticoloredModel(2, [RPoint(2)], True)
     assert contract_description(
-        OrderingDescription([Shuffle([Finite(1)])]), 1
+        OrderingDescription([SPoint([1])]), 1
     ) == MulticoloredModel(1, [SPoint({1})], True)
     with pytest.raises(ValueError, match="finite-label range"):
-        contract_description(OrderingDescription([SingletonBlock(OMEGA)]), 3)
+        contract_description(OrderingDescription([RPoint(OMEGA)]), 3)
     with pytest.raises(ValueError, match="finite-label range"):
-        contract_description(OrderingDescription([SingletonBlock(Finite(5))]), 3)
+        contract_description(OrderingDescription([RPoint(5)]), 3)
     with pytest.raises(InvalidStructureError, match="T.disjoint"):
         contract_description(
-            OrderingDescription([Shuffle([Finite(1)]), SingletonBlock(Finite(1))]), 2
+            OrderingDescription([SPoint([1]), RPoint(1)]), 2
         )
 
 
@@ -79,18 +76,23 @@ def test_expand_colored_examples():
         MulticoloredModel(2, [SPoint({1, 2})], False)
     ) == ColoredDescription([SPoint({1, 2})])
     assert contract_colored(ColoredDescription([]), 0) == MulticoloredModel(0, [], False)
+    for label in (True, OMEGA):  # a bool or a block kind is no color: refused, neither coerced nor a TypeError
+        with pytest.raises(ValueError, match=f"^color {label} outside 1..2$"):
+            contract_colored(ColoredDescription([RPoint(label)]), 2)
     with pytest.raises(ValueError, match="adjacency-unconstrained"):
         expand_colored(MulticoloredModel(1, [RPoint(1)], True))
 
 
 def test_expand_colored_keeps_the_model_points():
-    for k in range(5):
-        for m in enumerate_models(k, False):
-            assert expand_colored(m) == m.points
+    # expand_model too: a description is the constrained model's own points over block kinds
+    for constrained, expand in [(True, expand_model), (False, expand_colored)]:
+        for k in range(5):
+            for m in enumerate_models(k, constrained):
+                assert expand(m) == m.points
 
 
 def test_contract_names_the_first_label_in_canonical_order():
-    kinds = OrderingDescription([Shuffle([ZETA, OMEGA, Finite(5)])])
+    kinds = OrderingDescription([SPoint([ZETA, OMEGA, 5])])
     with pytest.raises(ValueError, match=r"finite-label range: kind \{'finite': 5\} with k=3$"):
         contract_description(kinds, 3)
     colors = ColoredDescription([RPoint(1), SPoint({2, -1, 7})])
@@ -143,28 +145,28 @@ def test_expanded_descriptions_are_disjoint_blocks_and_shuffles():
         d = expand_model(m)
         seen = set()
         for seg in d:
-            kinds = {seg.kind} if isinstance(seg, SingletonBlock) else set(seg.kinds)
+            kinds = {seg.color} if isinstance(seg, RPoint) else set(seg.colors)
             assert kinds, "empty segment"
             assert not (kinds & seen)
             seen |= kinds
 
 
 def test_classify_cnm_examples():
-    d = OrderingDescription([Shuffle([Finite(1), Finite(3)])])
+    d = OrderingDescription([SPoint([1, 3])])
     assert classify_cnm(d, 1, 1) is True  # max size 3 == 1+1+1
-    d4 = OrderingDescription([SingletonBlock(Finite(4))])
+    d4 = OrderingDescription([RPoint(4)])
     assert classify_cnm(d4, 1, 1) is False
-    omega = OrderingDescription([SingletonBlock(OMEGA)])
+    omega = OrderingDescription([RPoint(OMEGA)])
     assert classify_cnm(omega, math.inf, 2) is False
 
 
 def test_classify_cnm_infinite_kind_cases():
     from homcount.model import OMEGA_STAR, ZETA
 
-    omega = OrderingDescription([SingletonBlock(OMEGA)])
-    omega_star = OrderingDescription([SingletonBlock(OMEGA_STAR)])
-    zeta = OrderingDescription([SingletonBlock(ZETA)])
-    big = OrderingDescription([SingletonBlock(Finite(1000))])
+    omega = OrderingDescription([RPoint(OMEGA)])
+    omega_star = OrderingDescription([RPoint(OMEGA_STAR)])
+    zeta = OrderingDescription([RPoint(ZETA)])
+    big = OrderingDescription([RPoint(1000)])
     # omega needs an infinite predecessor budget, omega* an infinite successor one
     assert classify_cnm(omega, 2, math.inf)
     assert not classify_cnm(omega, 2, 3)
@@ -177,7 +179,7 @@ def test_classify_cnm_infinite_kind_cases():
     assert classify_cnm(big, math.inf, 0) and classify_cnm(big, 0, math.inf)
     # everything survives with both budgets infinite
     both = OrderingDescription(
-        [SingletonBlock(OMEGA), SingletonBlock(ZETA), Shuffle([OMEGA_STAR, Finite(7)])]
+        [RPoint(OMEGA), RPoint(ZETA), SPoint([OMEGA_STAR, 7])]
     )
     assert classify_cnm(both, math.inf, math.inf)
 

@@ -7,15 +7,12 @@ import pytest
 
 from homcount.model import (
     ColoredDescription,
-    Finite,
     MulticoloredModel,
     OMEGA,
     OMEGA_STAR,
     OrderingDescription,
     RPoint,
     SPoint,
-    Shuffle,
-    SingletonBlock,
     ZETA,
     canonical_key,
     colored_description_from_dict,
@@ -89,17 +86,17 @@ _GLUED = {(True, True): "T.4", (True, False): "T.5", (False, True): "T.6", (Fals
 def naive_description_check(segments):
     """The axioms a description breaks, restated from the block-sum argument."""
     broken = set()
-    held = [{s.kind} if isinstance(s, SingletonBlock) else set(s.kinds) for s in segments]
-    if any(isinstance(s, Shuffle) and not s.kinds for s in segments):
+    held = [{s.color} if isinstance(s, RPoint) else set(s.colors) for s in segments]
+    if any(isinstance(s, SPoint) and not s.colors for s in segments):
         broken.add("T.shuffle_empty")
-    if any(isinstance(kind, Finite) and kind.size < 1 for kinds in held for kind in kinds):
+    if any(type(kind) is int and kind < 1 for kinds in held for kind in kinds):
         broken.add("T.finite_size")
     if any(a & b for a, b in itertools.combinations(held, 2)):
         broken.add("T.disjoint")
     for left, right in zip(segments, segments[1:]):
-        if isinstance(left, SingletonBlock) and isinstance(right, SingletonBlock):
-            left_finite, right_finite = isinstance(left.kind, Finite), isinstance(right.kind, Finite)
-            if (left_finite or left.kind == OMEGA_STAR) and (right_finite or right.kind == OMEGA):
+        if isinstance(left, RPoint) and isinstance(right, RPoint):
+            left_finite, right_finite = type(left.color) is int, type(right.color) is int
+            if (left_finite or left.color == OMEGA_STAR) and (right_finite or right.color == OMEGA):
                 broken.add(_GLUED[left_finite, right_finite])
     return broken
 
@@ -125,6 +122,9 @@ def test_validate_model_axiom_ids():
     }
     assert validate_model(MulticoloredModel(2, [SPoint(())], False)).axioms() == {"Tprime.2"}
     assert validate_model(MulticoloredModel(2, [RPoint(3)], False)).axioms() == {"Tprime.range"}
+    # a bool or a block kind is no color: reported, neither coerced nor raised
+    assert validate_model(MulticoloredModel(2, [RPoint(True)], False)).axioms() == {"Tprime.range"}
+    assert validate_model(MulticoloredModel(2, [RPoint(OMEGA)], False)).axioms() == {"Tprime.range"}
 
 
 @pytest.mark.parametrize("constrained", [True, False])
@@ -139,9 +139,9 @@ def test_validator_matches_naive_axiom_checker(k, constrained):
 
 
 def test_description_validator_matches_naive_axiom_checker():
-    kinds = [Finite(0), Finite(1), Finite(2), OMEGA, OMEGA_STAR, ZETA]
-    segments = [SingletonBlock(kind) for kind in kinds] + [
-        Shuffle(combo) for size in range(len(kinds) + 1) for combo in itertools.combinations(kinds, size)
+    kinds = [0, 1, 2, OMEGA, OMEGA_STAR, ZETA]
+    segments = [RPoint(kind) for kind in kinds] + [
+        SPoint(combo) for size in range(len(kinds) + 1) for combo in itertools.combinations(kinds, size)
     ]
     for n in range(3):
         for segs in itertools.product(segments, repeat=n):
@@ -151,48 +151,48 @@ def test_description_validator_matches_naive_axiom_checker():
 
 def test_validate_description_examples():
     bad = validate_description(
-        OrderingDescription([SingletonBlock(Finite(1)), SingletonBlock(Finite(2))])
+        OrderingDescription([RPoint(1), RPoint(2)])
     )
     assert bad.axioms() == {"T.4"}
     bad = validate_description(
-        OrderingDescription([SingletonBlock(OMEGA_STAR), SingletonBlock(OMEGA)])
+        OrderingDescription([RPoint(OMEGA_STAR), RPoint(OMEGA)])
     )
     assert bad.axioms() == {"T.7"}
     ok = validate_description(
-        OrderingDescription([Shuffle([Finite(1), Finite(3)]), SingletonBlock(Finite(2))])
+        OrderingDescription([SPoint([1, 3]), RPoint(2)])
     )
     assert ok.ok
 
 
 def test_validate_description_adjacency_table():
     cases = [
-        (SingletonBlock(Finite(2)), SingletonBlock(OMEGA), "T.5"),
-        (SingletonBlock(OMEGA_STAR), SingletonBlock(Finite(2)), "T.6"),
+        (RPoint(2), RPoint(OMEGA), "T.5"),
+        (RPoint(OMEGA_STAR), RPoint(2), "T.6"),
     ]
     for left, right, axiom in cases:
         assert validate_description(OrderingDescription([left, right])).axioms() == {axiom}
     # the sum argument allows these: the left block has no greatest element or
     # the right block has no least element
     for left, right in [
-        (SingletonBlock(OMEGA), SingletonBlock(Finite(2))),
-        (SingletonBlock(Finite(2)), SingletonBlock(OMEGA_STAR)),
-        (SingletonBlock(OMEGA_STAR), SingletonBlock(ZETA)),
-        (SingletonBlock(ZETA), SingletonBlock(OMEGA)),
-        (SingletonBlock(ZETA), SingletonBlock(Finite(2))),
-        (SingletonBlock(Finite(2)), SingletonBlock(ZETA)),
+        (RPoint(OMEGA), RPoint(2)),
+        (RPoint(2), RPoint(OMEGA_STAR)),
+        (RPoint(OMEGA_STAR), RPoint(ZETA)),
+        (RPoint(ZETA), RPoint(OMEGA)),
+        (RPoint(ZETA), RPoint(2)),
+        (RPoint(2), RPoint(ZETA)),
     ]:
         assert validate_description(OrderingDescription([left, right])).ok, (left, right)
 
 
 def test_validate_description_disjointness():
     bad = validate_description(
-        OrderingDescription([Shuffle([Finite(1)]), SingletonBlock(Finite(1))])
+        OrderingDescription([SPoint([1]), RPoint(1)])
     )
     assert bad.axioms() == {"T.disjoint"}
-    assert validate_description(OrderingDescription([Shuffle([])])).axioms() == {
+    assert validate_description(OrderingDescription([SPoint([])])).axioms() == {
         "T.shuffle_empty"
     }
-    assert validate_description(OrderingDescription([SingletonBlock(Finite(0))])).axioms() == {
+    assert validate_description(OrderingDescription([RPoint(0)])).axioms() == {
         "T.finite_size"
     }
 
@@ -218,6 +218,9 @@ def test_canonical_key_examples():
     assert canonical_key(empty) < canonical_key(r1)
     assert canonical_key(r1) < canonical_key(s1)
     assert canonical_key(s1) == canonical_key(MulticoloredModel(1, [SPoint({1})]))
+    # an S-point stores its label set once, in canonical order
+    assert SPoint([ZETA, 3, OMEGA, 1]).colors == (1, 3, OMEGA, ZETA)
+    assert SPoint({2, 1}) == SPoint([1, 2])
 
 
 def test_canonical_key_is_total_order():
@@ -246,7 +249,7 @@ def test_model_json_bit_exact():
 
 def test_description_json_bit_exact():
     d = OrderingDescription(
-        [SingletonBlock(Finite(2)), Shuffle([Finite(1), OMEGA])]
+        [RPoint(2), SPoint([1, OMEGA])]
     )
     blob = json.dumps(description_to_dict(d))
     assert blob == (
@@ -258,7 +261,7 @@ def test_description_json_bit_exact():
 
 def test_kind_json_encodings():
     d = OrderingDescription(
-        [SingletonBlock(OMEGA), SingletonBlock(ZETA), SingletonBlock(OMEGA_STAR)]
+        [RPoint(OMEGA), RPoint(ZETA), RPoint(OMEGA_STAR)]
     )
     round_tripped = description_from_dict(description_to_dict(d))
     assert round_tripped == d
