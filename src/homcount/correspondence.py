@@ -40,9 +40,7 @@ from homcount.model import (
     OMEGA,
     OMEGA_STAR,
     OrderingDescription,
-    RPoint,
     ValidationReport,
-    ZETA,
     kind_to_json,
     validate_colored_description,
     validate_description,
@@ -86,7 +84,7 @@ def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
     _require_nonnegative(k)
     _require(validate_description(d), "description")
     for p in d:
-        for kind in (p.color,) if type(p) is RPoint else p.colors:
+        for kind in p.colors:
             if type(kind) is not int or kind > k:
                 raise ValueError(f"description not in finite-label range: kind {kind_to_json(kind)} with k={k}")
     return MulticoloredModel(k, d, True)
@@ -105,7 +103,7 @@ def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
     _require_nonnegative(k)
     _require(validate_colored_description(d), "colored description")
     for p in d:
-        for c in (p.color,) if type(p) is RPoint else p.colors:
+        for c in p.colors:
             if type(c) is not int or not 1 <= c <= k:  # a bool or a block kind is no color
                 raise ValueError(f"color {c} outside 1..{k}")
     return MulticoloredModel(k, d, adjacency_constrained=False)
@@ -124,9 +122,7 @@ def _kind_permitted(kind: BlockKind, n: ExtendedNat, m: ExtendedNat) -> bool:
         return m == math.inf
     if kind is OMEGA_STAR:
         return n == math.inf
-    if kind is ZETA:
-        return n == math.inf or m == math.inf
-    raise TypeError(f"unknown block kind {kind!r}")  # pragma: no cover
+    return n == math.inf or m == math.inf  # ZETA; validation refuses every other label
 
 
 def classify_cnm(d: OrderingDescription, n: ExtendedNat, m: ExtendedNat) -> bool:
@@ -134,11 +130,7 @@ def classify_cnm(d: OrderingDescription, n: ExtendedNat, m: ExtendedNat) -> bool
     _check_extended_nat("n", n)
     _check_extended_nat("m", m)
     _require(validate_description(d), "description")
-    for p in d:
-        kinds = (p.color,) if type(p) is RPoint else p.colors
-        if not all(_kind_permitted(kind, n, m) for kind in kinds):
-            return False
-    return True
+    return all(_kind_permitted(kind, n, m) for p in d for kind in p.colors)
 
 
 def _automorphisms(o: FiniteColoredOrdering) -> list[tuple[int, ...]]:

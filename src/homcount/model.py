@@ -18,11 +18,14 @@ own description, color i being the block of size i.
 
 A colored description, the picture of an unconstrained model, is that model's
 own tuple of points without k. Its rules are that no color repeats and no
-shuffle is empty. One point codec writes and reads the model and colored wire
-formats, which differ only in their type tags: "R"/"S" for models,
-"block"/"shuffle" for colored descriptions. Descriptions of both kinds, and
-finite colored orderings (a color per position), are plain tuples; their
-names are type aliases.
+shuffle is empty. Descriptions of both kinds, and finite colored orderings (a
+color per position), are plain tuples; their names are type aliases.
+
+One point codec writes and reads all three wire formats. They differ in their
+type tags ("R"/"S" for models, "block"/"shuffle" for descriptions of both
+kinds), their label field ("color" or "kind"; a set's field adds "s") and
+their label codec: a color is a JSON integer, a kind is {"finite": size} or
+the name of an infinite kind.
 
 An S-point stores its label set once, as a tuple in kind_key order (colors
 ascending, then omega, omega*, zeta), so every reader walks a set in the same
@@ -32,8 +35,8 @@ Validators return violation lists rather than raising. One walk over the
 segments checks the two axioms that every format shares: no set is empty
 (``Tprime.2``, ``T.shuffle_empty``) and no color or kind is in two segments
 (``Tprime.5``-``Tprime.7``, ``T.disjoint``). Each validator adds its own rules
-to it, and reports a label that breaks the range or size rule once, at its
-first position. Each violation carries a machine-readable axiom identifier:
+to it, and reports a label that breaks the range, size or kind rule once, at
+its first position. Each violation carries a machine-readable axiom identifier:
 
 ==============  =====================================================
 ``Tprime.2``    point carries no color (empty S-set)
@@ -49,6 +52,7 @@ first position. Each violation carries a machine-readable axiom identifier:
 ``T.disjoint``  block kind (or color) used twice across a description
 ``T.shuffle_empty``  shuffle of the empty set
 ``T.finite_size``    finite kind of size < 1
+``T.kind``      label that is neither an int nor an infinite kind
 ==============  =====================================================
 """
 
@@ -90,6 +94,11 @@ class RPoint:
 
     color: BlockKind
 
+    @property
+    def colors(self) -> tuple[BlockKind]:
+        """The one label, as the label set that an S-point stores."""
+        return (self.color,)
+
 
 @dataclass(frozen=True)
 class SPoint:
@@ -118,13 +127,7 @@ class MulticoloredModel:
         object.__setattr__(self, "adjacency_constrained", adjacency_constrained)
 
     def used_colors(self) -> frozenset[int]:
-        used: set[int] = set()
-        for p in self.points:
-            if isinstance(p, RPoint):
-                used.add(p.color)
-            else:
-                used.update(p.colors)
-        return frozenset(used)
+        return frozenset(c for p in self.points for c in p.colors)
 
 
 OrderingDescription = tuple[Point, ...]  # points over block kinds
@@ -168,12 +171,9 @@ def _walk(points, empty: str, reused: str, by_holders: dict, name) -> tuple[list
     out: list[Violation] = []
     first: dict = {}
     for i, p in enumerate(points):
-        if type(p) is RPoint:
-            single, labels = True, (p.color,)
-        else:
-            single, labels = False, p.colors
-            if not labels:
-                out.append(Violation(empty, (i,), f"empty set at {i}"))
+        single, labels = type(p) is RPoint, p.colors
+        if not labels:
+            out.append(Violation(empty, (i,), f"empty set at {i}"))
         for label in labels:
             if label in first:
                 j, was_single = first[label]
@@ -207,12 +207,17 @@ _SINGLETON_ADJACENCY = {
 }
 
 
-def _kind_class(kind: BlockKind) -> str:
-    return "finite" if type(kind) is int else kind.value
+def _kind_class(label) -> str | None:
+    """A label's class in the adjacency table: "finite", an infinite kind's
+    value, or None for a label that is no block kind."""
+    if type(label) is int:
+        return "finite"
+    return label.value if type(label) is InfiniteKind else None
 
 
-def _kind_name(kind: BlockKind) -> str:
-    return f"kind {kind_to_json(kind)}"
+def _kind_name(label) -> str:
+    """A kind in its wire encoding; a label that is no block kind by its repr."""
+    return f"label {label!r}" if _kind_class(label) is None else f"kind {kind_to_json(label)}"
 
 
 def validate_description(d: OrderingDescription) -> ValidationReport:
@@ -220,6 +225,8 @@ def validate_description(d: OrderingDescription) -> ValidationReport:
     for kind, (i, _) in first.items():
         if type(kind) is int and kind < 1:
             out.append(Violation("T.finite_size", (i,), f"finite kind of size {kind} at {i}"))
+        elif _kind_class(kind) is None:  # a bool is no finite kind
+            out.append(Violation("T.kind", (i,), f"{_kind_name(kind)} at {i} is not a block kind"))
     for i in range(len(d) - 1):
         left, right = d[i], d[i + 1]
         if isinstance(left, RPoint) and isinstance(right, RPoint):
@@ -257,22 +264,6 @@ def canonical_key(m: MulticoloredModel) -> tuple[int, tuple[tuple[int, tuple[int
 # JSON wire formats (bit-exact contracts; label sets are lists in stored order, never bitmasks)
 
 
-def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str) -> list:
-    """The wire form of `points`, each tagged `r_tag` (R-point) or `s_tag` (S-point)."""
-    out = []
-    for p in points:
-        if type(p) is RPoint:  # cheaper than isinstance; this runs once per point written
-            out.append({"type": r_tag, "color": p.color})
-        else:
-            out.append({"type": s_tag, "colors": list(p.colors)})
-    return out
-
-
-def model_to_dict(m: MulticoloredModel) -> dict:
-    points = _points_to_json(m.points, "R", "S")
-    return {"k": m.k, "adjacency_constrained": m.adjacency_constrained, "points": points}
-
-
 def _int(value, what: str) -> int:
     """`value` if it is a JSON integer. JSON's booleans load as bool and its
     floats as float, so both are refused here rather than coerced."""
@@ -293,54 +284,6 @@ def _list(value, what: str) -> list:
     raise ValueError(f"{what} must be a list, got {value!r}")
 
 
-def _s_point(labels: Iterable[BlockKind], listed: list, what: str) -> SPoint:
-    """The S-point of `labels`, read from `listed`, if building it merged no two entries."""
-    point = SPoint(labels)
-    if len(point.colors) != len(listed):
-        raise ValueError(f"{what} repeats an entry: {listed!r}")
-    return point
-
-
-def _colors(value, what: str) -> SPoint:
-    for c in _list(value, what):
-        if type(c) is not int:
-            raise ValueError(f"a color in {what} must be an integer, got {c!r}")
-    return _s_point(value, value, what)
-
-
-def _points_from_json(entries: list, r_tag: str, s_tag: str) -> tuple[Point, ...]:
-    """Inverse of _points_to_json; an entry of another type is refused."""
-    points: list[Point] = []
-    for entry in entries:
-        tag = entry["type"]
-        if tag == r_tag:
-            points.append(RPoint(_int(entry["color"], "color")))
-        elif tag == s_tag:
-            points.append(_colors(entry["colors"], "colors"))
-        else:
-            entry_name = "point" if r_tag == "R" else "segment"
-            raise ValueError(f"unknown {entry_name} type {tag!r}")
-    return tuple(points)
-
-
-def _malformed(what: str, exc: Exception) -> ValueError:
-    """The error a reader raises when `data` lacks a key or has the wrong shape."""
-    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-    return ValueError(f"malformed {what} JSON: {detail}")
-
-
-def model_from_dict(data: dict) -> MulticoloredModel:
-    try:
-        k = _int(data["k"], "k")
-        if k < 0:
-            raise ValueError(f"k must be nonnegative, got {k}")
-        constrained = _bool(data["adjacency_constrained"], "adjacency_constrained")
-        points = _points_from_json(_list(data["points"], "points"), "R", "S")
-    except (KeyError, TypeError) as exc:
-        raise _malformed("model", exc) from exc
-    return MulticoloredModel(k, points, constrained)
-
-
 def kind_to_json(kind: BlockKind):
     if type(kind) is int:
         return {"finite": kind}
@@ -357,38 +300,89 @@ def kind_from_json(data) -> BlockKind:
     raise ValueError(f"unknown block kind encoding {data!r}")
 
 
-def description_to_dict(d: OrderingDescription) -> dict:
-    segments = []
-    for p in d:
-        if type(p) is RPoint:
-            segments.append({"type": "block", "kind": kind_to_json(p.color)})
+# A label codec: the wire field of one label (a set's field adds "s"), the
+# label's encoder (None: written as is) and its decoder, which is given the
+# value and the noun that an error names it by.
+_COLORS = ("color", None, _int)
+_KINDS = ("kind", kind_to_json, lambda data, what: kind_from_json(data))
+
+
+def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str, codec: tuple) -> list:
+    """The wire form of `points`, each tagged `r_tag` (R-point) or `s_tag`
+    (S-point), with its labels encoded by `codec`."""
+    field, write, _ = codec
+    fields = field + "s"
+    out = []
+    for p in points:
+        if type(p) is RPoint:  # cheaper than isinstance; this runs once per point written
+            out.append({"type": r_tag, field: p.color if write is None else write(p.color)})
         else:
-            segments.append({"type": "shuffle", "kinds": [kind_to_json(kind) for kind in p.colors]})
-    return {"segments": segments}
+            out.append({"type": s_tag, fields: list(p.colors) if write is None else [write(x) for x in p.colors]})
+    return out
+
+
+def _points_from_json(entries: list, r_tag: str, s_tag: str, codec: tuple) -> tuple[Point, ...]:
+    """Inverse of _points_to_json; an entry of another type, a label the codec
+    refuses and a set that lists a label twice are refused."""
+    field, _, read = codec
+    fields = field + "s"
+    in_set = f"a {field} in {fields}"
+    points: list[Point] = []
+    for entry in entries:
+        tag = entry["type"]
+        if tag == r_tag:
+            points.append(RPoint(read(entry[field], field)))
+        elif tag == s_tag:
+            listed = _list(entry[fields], fields)
+            point = SPoint([read(x, in_set) for x in listed])
+            if len(point.colors) != len(listed):
+                raise ValueError(f"{fields} repeats an entry: {listed!r}")
+            points.append(point)
+        else:
+            raise ValueError(f"unknown {'point' if r_tag == 'R' else 'segment'} type {tag!r}")
+    return tuple(points)
+
+
+def _malformed(what: str, exc: Exception) -> ValueError:
+    """The error a reader raises when `data` lacks a key or has the wrong shape."""
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"malformed {what} JSON: {detail}")
+
+
+def model_to_dict(m: MulticoloredModel) -> dict:
+    points = _points_to_json(m.points, "R", "S", _COLORS)
+    return {"k": m.k, "adjacency_constrained": m.adjacency_constrained, "points": points}
+
+
+def model_from_dict(data: dict) -> MulticoloredModel:
+    try:
+        k = _int(data["k"], "k")
+        if k < 0:
+            raise ValueError(f"k must be nonnegative, got {k}")
+        constrained = _bool(data["adjacency_constrained"], "adjacency_constrained")
+        points = _points_from_json(_list(data["points"], "points"), "R", "S", _COLORS)
+    except (KeyError, TypeError) as exc:
+        raise _malformed("model", exc) from exc
+    return MulticoloredModel(k, points, constrained)
+
+
+def description_to_dict(d: OrderingDescription) -> dict:
+    return {"segments": _points_to_json(d, "block", "shuffle", _KINDS)}
 
 
 def description_from_dict(data: dict) -> OrderingDescription:
     try:
-        points: list[Point] = []
-        for entry in _list(data["segments"], "segments"):
-            if entry["type"] == "block":
-                points.append(RPoint(kind_from_json(entry["kind"])))
-            elif entry["type"] == "shuffle":
-                kinds = _list(entry["kinds"], "kinds")
-                points.append(_s_point(map(kind_from_json, kinds), kinds, "kinds"))
-            else:
-                raise ValueError(f"unknown segment type {entry['type']!r}")
+        return _points_from_json(_list(data["segments"], "segments"), "block", "shuffle", _KINDS)
     except (KeyError, TypeError) as exc:
         raise _malformed("description", exc) from exc
-    return tuple(points)
 
 
 def colored_description_to_dict(d: ColoredDescription) -> dict:
-    return {"segments": _points_to_json(d, "block", "shuffle")}
+    return {"segments": _points_to_json(d, "block", "shuffle", _COLORS)}
 
 
 def colored_description_from_dict(data: dict) -> ColoredDescription:
     try:
-        return _points_from_json(_list(data["segments"], "segments"), "block", "shuffle")
+        return _points_from_json(_list(data["segments"], "segments"), "block", "shuffle", _COLORS)
     except (KeyError, TypeError) as exc:
         raise _malformed("colored description", exc) from exc

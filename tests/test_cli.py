@@ -586,8 +586,19 @@ def _model(**fields):
         (["expand"], _model(points=[{"type": "R", "color": True}]), "color must be an integer, got True"),
         (["contract", "--k", "3"], {"segments": [{"type": "block", "kind": {"finite": True}}]},
          "finite size must be an integer, got True"),
+        (["contract", "--k", "3"], {"segments": [{"type": "shuffle", "kinds": "12"}]},
+         "kinds must be a list, got '12'"),
+        (["contract", "--k", "3"], {"segments": [{"type": "shuffle", "kinds": [{"finite": 1.0}]}]},
+         "finite size must be an integer, got 1.0"),
+        (["contract", "--k", "3", "--unconstrained"], {"segments": [{"type": "shuffle", "colors": "12"}]},
+         "colors must be a list, got '12'"),
+        (["contract", "--k", "3", "--unconstrained"], {"segments": [{"type": "block", "color": 1.0}]},
+         "color must be an integer, got 1.0"),
+        (["contract", "--k", "3", "--unconstrained"], {"segments": [{"type": "shuffle", "colors": [1.0]}]},
+         "a color in colors must be an integer, got 1.0"),
     ],
-    ids=["k-str", "colors-str", "flag-str", "color-float", "color-bool", "finite-bool"],
+    ids=["k-str", "colors-str", "flag-str", "color-float", "color-bool", "finite-bool", "kinds-str",
+         "kinds-finite-float", "colored-colors-str", "colored-color-float", "colored-colors-float"],
 )
 def test_wrongly_typed_fields_are_usage_errors(tmp_path, capsys, argv, doc, message):
     src = tmp_path / "input.json"

@@ -27,7 +27,9 @@ from homcount.model import (
     RPoint,
     SPoint,
     ZETA,
+    colored_description_from_dict,
     colored_description_to_dict,
+    description_from_dict,
     description_to_dict,
     validate_colored_description,
     validate_description,
@@ -66,6 +68,10 @@ def test_contract_examples():
         contract_description(
             OrderingDescription([SPoint([1]), RPoint(1)]), 2
         )
+    for d in [(RPoint(True),), (RPoint(2), RPoint(True)), (RPoint("x"), RPoint("x")), (SPoint([2.5]),)]:
+        with pytest.raises(InvalidStructureError) as refused:  # a label that is no block kind
+            contract_description(d, 3)
+        assert "T.kind" in refused.value.report.axioms()
 
 
 def test_expand_colored_examples():
@@ -112,13 +118,15 @@ GOLDEN_EXPANSIONS = {
 @pytest.mark.parametrize("constrained", sorted(GOLDEN_EXPANSIONS))
 def test_expansion_bytes_match_golden(constrained):
     if constrained:
-        expand, to_dict = expand_model, description_to_dict
+        expand, to_dict, from_dict = expand_model, description_to_dict, description_from_dict
     else:
-        expand, to_dict = expand_colored, colored_description_to_dict
+        expand, to_dict, from_dict = expand_colored, colored_description_to_dict, colored_description_from_dict
     digest, count = hashlib.sha256(), 0
     for k in range(6):
         for m in enumerate_models(k, constrained):
-            digest.update((json.dumps(to_dict(expand(m))) + "\n").encode())
+            line = json.dumps(to_dict(expand(m)))
+            assert from_dict(json.loads(line)) == expand(m)
+            digest.update((line + "\n").encode())
             count += 1
     assert (count, digest.hexdigest()) == GOLDEN_EXPANSIONS[constrained]
 
@@ -193,6 +201,10 @@ def test_classify_cnm_argument_validation():
     for n, m in ((True, 0), (0, False)):  # a bool is refused, not read as 1 or 0
         with pytest.raises(ValueError, match="must be a nonnegative integer or math.inf, got (True|False)$"):
             classify_cnm(d, n, m)
+    for labels in [(RPoint(True),), (RPoint(2), RPoint(True)), (RPoint("x"), RPoint("x")), (SPoint([2.5]),)]:
+        with pytest.raises(InvalidStructureError) as refused:  # a label that is no block kind
+            classify_cnm(labels, 1, 1)
+        assert "T.kind" in refused.value.report.axioms()
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -162,6 +162,15 @@ def test_validate_description_examples():
         OrderingDescription([SPoint([1, 3]), RPoint(2)])
     )
     assert ok.ok
+    # a label that is no block kind is a violation, named by its repr, not an AttributeError
+    for d, axioms in [
+        ((RPoint(2), RPoint(True)), {"T.kind"}),
+        ((RPoint("x"), RPoint("x")), {"T.disjoint", "T.kind"}),
+        ((RPoint(True),), {"T.kind"}),
+        ((SPoint([2.5]),), {"T.kind"}),
+    ]:
+        assert validate_description(d).axioms() == axioms, d
+    assert validate_description((RPoint(True),)).violations[0].message == "label True at 0 is not a block kind"
 
 
 def test_validate_description_adjacency_table():
