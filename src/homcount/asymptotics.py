@@ -10,7 +10,7 @@ package: everything is IEEE double, and tolerances are pinned by the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from homcount.combinatorics import factorial
 from homcount.counting import count_I, count_L, j_surjective
@@ -41,8 +41,7 @@ def lambert_w0(t: float) -> float:
     return w
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
+class AsymptoticConstants(NamedTuple):
     Z: float  # dominant pole of e^x/(2-x-e^x)
     R: float  # residue of e^x/(2-x-e^x) at Z
     S: float  # residue of 1/(2-x-e^x) at Z
@@ -103,8 +102,7 @@ def bound_ratio_I(k: int) -> float:
     return math.exp(log_ratio)
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     k: int
     l_over_a: float  # exact count / first-order approximation
     j_over_l: float  # surjective fraction, tending to 1/W(e^2)

@@ -178,11 +178,8 @@ def cmd_asymptotic(args) -> int:
     from homcount import asymptotics
 
     if args.asymptotic_command == "constants":
-        from dataclasses import fields
-
-        c = asymptotics.constants()
-        for field in fields(c):
-            print(f"{field.name.ljust(11)} = {getattr(c, field.name):.10g}")
+        for name, value in asymptotics.constants()._asdict().items():
+            print(f"{name.ljust(11)} = {value:.10g}")
         return 0
     rows = asymptotics.ratio_report(args.k_max)
     print(f"{'k'.rjust(3)}  {'L(k)/A(k)'.ljust(18)}  {'J(k)/L(k)'.ljust(18)}")

@@ -9,9 +9,15 @@ candidates from a per-mask move table (_point_moves) of (point, rest, size)
 triples in canonical order, sorted by model.point_key. The moves come from
 kernel._children, the one statement of the move rule that the counting walk
 reads too. Each RPoint and SPoint is built once per color or color mask and
-shared by every table and every model (points are frozen). The same points are
-the streamed models' descriptions too: a description is a tuple of points over
-block kinds, and the finite kind of size i is color i.
+shared by every table and every model (points are immutable named tuples). The
+same points are the streamed models' descriptions too: a description is a
+tuple of points over block kinds, and the finite kind of size i is color i.
+
+Each finished model is built with tuple.__new__ from fields that are already
+normalized, which skips MulticoloredModel's constructor. A surjective stream
+reads no move table for its last point: only a point that takes every free
+color can close the model, so it emits the R-point of the one free color (when
+exactly one is free and an R-point may come) and then the S-point of them all.
 
 Counting never materializes models: it goes through homcount.kernel, which
 walks the same choice tree and splits the surjective models into S-first and
@@ -63,16 +69,22 @@ def _stream(k: int, constrained: bool, surjective: bool, r_points: bool) -> Iter
     R-points, `surjective` keeps only the models that use every color."""
     kernel.check_k(k)
     after_r = r_points and not constrained
+    new = tuple.__new__
 
     def extend(prefix: tuple, avail: int, remaining: int, r_ok: bool) -> Iterator[MulticoloredModel]:
         """The models that extend `prefix` by exactly `remaining` >= 1 points."""
+        # prefix + (point,) is already a tuple, so MulticoloredModel.__new__ would have nothing to normalize
+        if remaining == 1 and surjective:  # only a point that takes every free color closes the model
+            if r_ok and not avail & (avail - 1):
+                yield new(MulticoloredModel, (k, prefix + (_r_point(avail),), constrained))
+            yield new(MulticoloredModel, (k, prefix + (_s_point(avail),), constrained))
+            return
         r_moves, s_moves = _point_moves(avail)
         budget = avail.bit_count() - remaining + 1  # colors this point may consume
         for moves, r_next in ((r_moves if r_ok else (), after_r), (s_moves, r_points)):
             if remaining == 1:
-                for point, rest, _ in moves:
-                    if not (surjective and rest):
-                        yield MulticoloredModel(k, prefix + (point,), constrained)
+                for point, _, _ in moves:
+                    yield new(MulticoloredModel, (k, prefix + (point,), constrained))
             else:
                 for point, rest, size in moves:
                     if size <= budget:

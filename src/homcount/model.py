@@ -29,7 +29,16 @@ the name of an infinite kind.
 
 An S-point stores its label set once, as a tuple in kind_key order (colors
 ascending, then omega, omega*, zeta), so every reader walks a set in the same
-order under every hash seed; ``SPoint.__init__`` is the one place that sorts.
+order under every hash seed; ``SPoint.__new__`` is the one place that sorts.
+
+Points, models, violations and reports are named tuples: immutable and
+hashable, with reprs that name their type and fields. Equality is the tuple's,
+so a value equals the plain tuple of its fields (``RPoint(1) == (1,)``) and
+has len and iteration; an R-point's label is never a tuple, so
+``RPoint(1) != SPoint([1])``. ``SPoint`` and ``MulticoloredModel`` keep a
+normalizing constructor (the label set sorted and deduplicated, the points
+made a tuple); code that already holds normalized fields may build a value
+with ``tuple.__new__`` and skip it.
 
 Validators return violation lists rather than raising. One walk over the
 segments checks the two axioms that every format shares: no set is empty
@@ -59,8 +68,7 @@ its first position. Each violation carries a machine-readable axiom identifier:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +95,7 @@ def kind_key(kind: BlockKind) -> tuple[int, int]:
     return (0, kind)
 
 
-@dataclass(frozen=True)
-class RPoint:
+class RPoint(NamedTuple):
     """A point carrying exactly one label: a color in a model, a block kind in a
     description. It encodes a singleton block of that size or kind."""
 
@@ -100,31 +107,27 @@ class RPoint:
         return (self.color,)
 
 
-@dataclass(frozen=True)
-class SPoint:
+class SPoint(NamedTuple("SPoint", [("colors", tuple[BlockKind, ...])])):
     """A point carrying a label set: colors in a model, block kinds in a
     description. It encodes a shuffle of those blocks. The set is stored once,
     without repeats, as a tuple in kind_key order."""
 
-    colors: tuple[BlockKind, ...]
+    __slots__ = ()
 
-    def __init__(self, colors: Iterable[BlockKind]):
-        object.__setattr__(self, "colors", tuple(sorted(set(colors), key=kind_key)))
+    def __new__(cls, colors: Iterable[BlockKind]):
+        return tuple.__new__(cls, (tuple(sorted(set(colors), key=kind_key)),))
 
 
 Point = Union[RPoint, SPoint]
 
 
-@dataclass(frozen=True)
-class MulticoloredModel:
-    k: int
-    points: tuple[Point, ...] = ()
-    adjacency_constrained: bool = True
+class MulticoloredModel(
+    NamedTuple("MulticoloredModel", [("k", int), ("points", tuple[Point, ...]), ("adjacency_constrained", bool)])
+):
+    __slots__ = ()
 
-    def __init__(self, k: int, points: Iterable[Point] = (), adjacency_constrained: bool = True):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "adjacency_constrained", adjacency_constrained)
+    def __new__(cls, k: int, points: Iterable[Point] = (), adjacency_constrained: bool = True):
+        return tuple.__new__(cls, (k, tuple(points), adjacency_constrained))
 
     def used_colors(self) -> frozenset[int]:
         return frozenset(c for p in self.points for c in p.colors)
@@ -139,15 +142,13 @@ FiniteColoredOrdering = tuple[int, ...]  # position i has color o[i]
 # validation
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     positions: tuple[int, ...]
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -287,7 +288,9 @@ def _list(value, what: str) -> list:
 def kind_to_json(kind: BlockKind):
     if type(kind) is int:
         return {"finite": kind}
-    return kind.value
+    if type(kind) is InfiniteKind:
+        return kind.value
+    raise ValueError(f"label {kind!r} is not a block kind")
 
 
 def kind_from_json(data) -> BlockKind:
@@ -301,23 +304,27 @@ def kind_from_json(data) -> BlockKind:
 
 
 # A label codec: the wire field of one label (a set's field adds "s"), the
-# label's encoder (None: written as is) and its decoder, which is given the
-# value and the noun that an error names it by.
-_COLORS = ("color", None, _int)
-_KINDS = ("kind", kind_to_json, lambda data, what: kind_from_json(data))
+# label's encoder and its decoder. Each is given the value and the noun that
+# an error names it by. The encoder refuses what the decoder would refuse, so
+# no writer emits a document that its reader refuses; a color is written as
+# is once _int has checked it.
+_COLORS = ("color", _int, _int)
+_KINDS = ("kind", lambda kind, what: kind_to_json(kind), lambda data, what: kind_from_json(data))
 
 
 def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str, codec: tuple) -> list:
     """The wire form of `points`, each tagged `r_tag` (R-point) or `s_tag`
-    (S-point), with its labels encoded by `codec`."""
+    (S-point), with its labels encoded by `codec`; a label the codec refuses is
+    a ValueError."""
     field, write, _ = codec
     fields = field + "s"
+    in_set = f"a {field} in {fields}"
     out = []
     for p in points:
         if type(p) is RPoint:  # cheaper than isinstance; this runs once per point written
-            out.append({"type": r_tag, field: p.color if write is None else write(p.color)})
+            out.append({"type": r_tag, field: write(p.color, field)})
         else:
-            out.append({"type": s_tag, fields: list(p.colors) if write is None else [write(x) for x in p.colors]})
+            out.append({"type": s_tag, fields: [write(x, in_set) for x in p.colors]})
     return out
 
 

@@ -32,9 +32,8 @@ The three builders refuse an order above MAX_ORDER before building anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from homcount.combinatorics import factorial
 
@@ -45,15 +44,16 @@ Coefficient = Union[Fraction, int]
 MAX_ORDER = 120
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    coeffs: tuple[Fraction, ...]  # index j = coefficient of x^j; length = order + 1
+class TruncatedSeries(NamedTuple("TruncatedSeries", [("coeffs", tuple[Fraction, ...])])):
+    """coeffs[j] is the coefficient of x^j; len(coeffs) = order + 1."""
 
-    def __init__(self, coeffs: Iterable[Coefficient]):
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Iterable[Coefficient]):
         values = tuple(Fraction(c) for c in coeffs)
         if not values:
             raise ValueError("a truncated series has at least its constant term")
-        object.__setattr__(self, "coeffs", values)
+        return tuple.__new__(cls, (values,))
 
     @property
     def order(self) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from homcount import asymptotics, combinatorics, correspondence, counting, enumeration, kernel, routes, series
 
@@ -39,8 +39,7 @@ L_REFERENCE = [
 A_REFERENCE = [1.37496, 3.10493, 14.0224, 94.9907, 857.986]  # k = 0..4
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -52,6 +52,21 @@ def test_constants_invariant_ranges():
     assert c.M > 2
 
 
+def test_constants_and_rows_are_immutable_value_tuples():
+    c = constants()
+    assert repr(c) == (
+        f"AsymptoticConstants(Z={c.Z!r}, R={c.R!r}, S={c.S!r}, limit_ratio={c.limit_ratio!r}, "
+        f"p_star={c.p_star!r}, M={c.M!r})"
+    )
+    assert list(c._asdict()) == ["Z", "R", "S", "limit_ratio", "p_star", "M"]  # the CLI prints this order
+    assert c == constants() and hash(c) == hash(constants()) and c == tuple(c._asdict().values())
+    row = ratio_report(0)[0]
+    assert repr(row) == f"RatioRow(k=0, l_over_a={row.l_over_a!r}, j_over_l=1.0)"
+    for value, name in [(c, "Z"), (row, "k")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+
+
 def test_pole_identity():
     c = constants()
     assert abs(2 - c.Z - math.exp(c.Z)) <= 1e-12

@@ -75,36 +75,44 @@ def test_golden_commands_reproduce_their_bytes(monkeypatch):
 
 
 # run `python -m homcount <argv>` in a fresh interpreter, then report its exit code
-# and the package modules it imported, as the last line of stderr
+# and the package modules it imported, with any of _HEAVY, as the last line of stderr
+_HEAVY = ("dataclasses", "inspect")  # stdlib modules that no command needs, each costly to import
 _COLD_RUN = (
     "import runpy, sys\n"
     "try:\n"
     "    runpy.run_module('homcount', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('homcount.')), file=sys.stderr)\n"
+    f"print(code, *sorted(m for m in sys.modules if m.startswith('homcount.') or m in {_HEAVY!r}), file=sys.stderr)\n"
 )
 _LAYERS = ("model", "enumeration", "correspondence", "series", "asymptotics", "verify")
+_MODEL_DOC = '{"k": 2, "adjacency_constrained": true, "points": [{"type": "R", "color": 1}]}'
+_DESCRIPTION_DOC = '{"segments": [{"type": "block", "kind": {"finite": 1}}]}'
 
 
 @pytest.mark.parametrize(
-    "argv,layers",
+    "argv,stdin,layers",
     [
-        (["--help"], set()),
-        (["count", "--sequence", "I", "--k", "3"], set()),
-        (["export", "--sequence", "I", "--k-max", "5", "--format", "csv"], set()),
-        (["count", "--sequence", "L", "--k", "4", "--method", "brute-force"], set()),
-        (["series", "--terms", "4"], {"series"}),
+        (["--help"], None, set()),
+        (["count", "--sequence", "I", "--k", "3"], None, set()),
+        (["export", "--sequence", "I", "--k-max", "5", "--format", "csv"], None, set()),
+        (["count", "--sequence", "L", "--k", "4", "--method", "brute-force"], None, set()),
+        (["series", "--terms", "4"], None, {"series"}),
+        (["expand"], _MODEL_DOC, {"model", "correspondence"}),
+        (["contract", "--k", "2"], _DESCRIPTION_DOC, {"model", "correspondence"}),
+        (["asymptotic", "constants"], None, {"asymptotics"}),
+        (["verify", "--k-max", "2"], None, set(_LAYERS)),
     ],
-    ids=["help", "count", "export", "count-brute-force", "series"],
+    ids=["help", "count", "export", "count-brute-force", "series", "expand", "contract", "asymptotic", "verify"],
 )
-def test_commands_import_only_the_layers_they_run(argv, layers):
+def test_commands_import_only_the_layers_they_run(argv, stdin, layers):
     src = str(Path(counting.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _COLD_RUN, *argv], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", _COLD_RUN, *argv], input=stdin, env=env, capture_output=True, text=True)
     code, *loaded = out.stderr.splitlines()[-1].split()
     assert code == "0"
     assert {layer for layer in _LAYERS if f"homcount.{layer}" in loaded} == layers
+    assert not set(_HEAVY) & set(loaded)
 
 
 def test_count_recurrence(capsys):

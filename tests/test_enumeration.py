@@ -138,6 +138,18 @@ def test_partition_by_used_color_set():
             )
 
 
+@pytest.mark.parametrize("constrained", [True, False])
+def test_surjective_streams_are_the_filtered_model_stream(constrained):
+    # the surjective streams emit their last point directly; the full stream filtered is the reference
+    for k in range(6):
+        full = frozenset(range(1, k + 1))
+        surjective = [m for m in enumerate_models(k, constrained) if m.used_colors() == full]
+        assert list(enumerate_surjective(k, constrained)) == surjective
+        if not constrained:
+            all_s = [m for m in surjective if all(type(p) is SPoint for p in m.points)]
+            assert list(enumerate_ordered_set_partitions(k)) == all_s
+
+
 def test_first_point_split():
     assert surjective_first_point_split(0, True) == (1, 0)
     assert surjective_first_point_split(2, True) == (5, 2)

@@ -19,6 +19,7 @@ from homcount.model import (
     colored_description_to_dict,
     description_from_dict,
     description_to_dict,
+    kind_to_json,
     model_from_dict,
     model_to_dict,
     validate_colored_description,
@@ -232,6 +233,30 @@ def test_canonical_key_examples():
     assert SPoint({2, 1}) == SPoint([1, 2])
 
 
+def test_points_and_models_are_immutable_value_tuples():
+    m = MulticoloredModel(2, [RPoint(1), SPoint({2})], False)
+    assert repr(m) == (
+        "MulticoloredModel(k=2, points=(RPoint(color=1), SPoint(colors=(2,))), adjacency_constrained=False)"
+    )
+    assert repr(RPoint(OMEGA)) == "RPoint(color=<InfiniteKind.OMEGA: 'omega'>)"
+    assert repr(validate_model(MulticoloredModel(1, [RPoint(1), RPoint(1)], False))) == (
+        "ValidationReport(violations=(Violation(axiom='Tprime.5', positions=(0, 1), "
+        "message='color 1 reused at 0 and 1'),))"
+    )
+    same = MulticoloredModel(2, (RPoint(1), SPoint([2, 2])), False)
+    assert same == m and hash(same) == hash(m)
+    assert m != MulticoloredModel(2, m.points, True)
+    assert RPoint(1) != SPoint([1])
+    # a value equals the plain tuple of its fields, and has len and iteration
+    assert m == (2, (RPoint(1), SPoint({2})), False) and len(m) == 3 and list(RPoint(1)) == [1]
+    assert type(MulticoloredModel(1, [RPoint(1)]).points) is tuple
+    assert SPoint([3, 1, 3]).colors == SPoint(colors=[3, 1, 3]).colors == (1, 3)
+    for value, name in [(m, "k"), (m, "points"), (RPoint(1), "color"), (SPoint([1]), "colors"),
+                        (RPoint(1), "extra"), (validate_model(m), "violations")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
 def test_canonical_key_is_total_order():
     from homcount.enumeration import enumerate_models
 
@@ -284,6 +309,22 @@ def test_colored_description_json():
         '{"type": "shuffle", "colors": [1, 3]}]}'
     )
     assert colored_description_from_dict(json.loads(blob)) == d
+
+
+def test_writers_refuse_labels_their_readers_refuse():
+    # each writer names a bad label as its reader would name it in a document
+    with pytest.raises(ValueError, match="^label True is not a block kind$"):
+        kind_to_json(True)
+    with pytest.raises(ValueError, match="^label True is not a block kind$"):
+        description_to_dict((SPoint([True, OMEGA]),))
+    with pytest.raises(ValueError, match="^color must be an integer, got True$"):
+        model_to_dict(MulticoloredModel(2, [RPoint(True)], False))
+    with pytest.raises(ValueError, match=r"^a color in colors must be an integer, got 2\.0$"):
+        model_to_dict(MulticoloredModel(2, [SPoint([1, 2.0])], False))
+    with pytest.raises(ValueError, match="^color must be an integer, got <InfiniteKind.OMEGA: 'omega'>$"):
+        colored_description_to_dict((RPoint(OMEGA),))
+    with pytest.raises(ValueError, match="^color must be an integer, got True$"):
+        model_from_dict({"k": 2, "adjacency_constrained": False, "points": [{"type": "R", "color": True}]})
 
 
 def test_json_rejects_malformed():

@@ -83,6 +83,18 @@ def test_mul_at_order_60_where_the_lcm_is_60_factorial():
     assert list(ps_mul(e, f).coeffs) == binomial_convolution_oracle(list(e.coeffs), list(f.coeffs), 60)
 
 
+def test_truncated_series_is_an_immutable_value_tuple():
+    s = TruncatedSeries([1, frac(1, 2)])
+    assert repr(s) == "TruncatedSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
+    assert all(type(c) is Fraction for c in s.coeffs) and s.order == 1
+    same = TruncatedSeries(coeffs=(frac(1), 0.5))
+    assert same == s and hash(same) == hash(s) and s == ((frac(1), frac(1, 2)),)
+    with pytest.raises(AttributeError):
+        s.coeffs = ()
+    with pytest.raises(ValueError, match="^a truncated series has at least its constant term$"):
+        TruncatedSeries(coeffs=[])
+
+
 def test_add_and_mul_identities():
     s = egf_f(6)
     zero = ps_constant(0, 6)
