@@ -104,7 +104,7 @@ def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
     _require(validate_colored_description(d), "colored description")
     for p in d:
         for c in p.colors:
-            if type(c) is not int or not 1 <= c <= k:  # a bool or a block kind is no color
+            if not 1 <= c <= k:  # validation refused every label that is no int
                 raise ValueError(f"color {c} outside 1..{k}")
     return MulticoloredModel(k, d, adjacency_constrained=False)
 

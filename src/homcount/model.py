@@ -28,8 +28,10 @@ their label codec: a color is a JSON integer, a kind is {"finite": size} or
 the name of an infinite kind.
 
 An S-point stores its label set once, as a tuple in kind_key order (colors
-ascending, then omega, omega*, zeta), so every reader walks a set in the same
-order under every hash seed; ``SPoint.__new__`` is the one place that sorts.
+ascending, then omega, omega*, zeta, then any label that is no block kind, by
+type name and repr), so every reader walks a set in the same order under every
+hash seed and a set of any labels sorts; ``SPoint.__new__`` is the one place
+that sorts.
 
 Points, models, violations and reports are named tuples: immutable and
 hashable, with reprs that name their type and fields. Equality is the tuple's,
@@ -62,6 +64,7 @@ its first position. Each violation carries a machine-readable axiom identifier:
 ``T.shuffle_empty``  shuffle of the empty set
 ``T.finite_size``    finite kind of size < 1
 ``T.kind``      label that is neither an int nor an infinite kind
+``T.color``     label of a colored description that is not an int
 ==============  =====================================================
 """
 
@@ -88,11 +91,21 @@ ZETA = InfiniteKind.ZETA
 BlockKind = Union[int, InfiniteKind]  # a finite kind is its size
 
 
-def kind_key(kind: BlockKind) -> tuple[int, int]:
-    """Deterministic sort key: finite kinds (and colors) by size, then omega < omega* < zeta."""
-    if isinstance(kind, InfiniteKind):
-        return (1, [OMEGA, OMEGA_STAR, ZETA].index(kind))
-    return (0, kind)
+_INFINITE_RANK = {OMEGA: 0, OMEGA_STAR: 1, ZETA: 2}
+
+
+def kind_key(kind) -> tuple:
+    """Deterministic sort key, total over any labels: finite kinds (and colors,
+    bools among them) by size, then omega < omega* < zeta, then every other
+    label by its type's name and its repr, so a set that mixes in a label that
+    is no block kind still sorts and validation can name that label."""
+    if type(kind) is int:  # the common case: SPoint sorts every parsed set with this key
+        return (0, kind)
+    if type(kind) is InfiniteKind:
+        return (1, _INFINITE_RANK[kind])
+    if isinstance(kind, int):
+        return (0, kind)
+    return (2, type(kind).__name__, repr(kind))
 
 
 class RPoint(NamedTuple):
@@ -239,26 +252,44 @@ def validate_description(d: OrderingDescription) -> ValidationReport:
 
 
 def validate_colored_description(d: ColoredDescription) -> ValidationReport:
-    """Colored descriptions only require nonempty shuffles and globally unique colors."""
-    return ValidationReport(tuple(_walk(d, "T.shuffle_empty", "T.disjoint", {}, "color {}".format)[0]))
+    """Colored descriptions only require nonempty shuffles, globally unique
+    colors and labels that are colors: ints, not bools or block kinds."""
+    out, first = _walk(d, "T.shuffle_empty", "T.disjoint", {}, "color {}".format)
+    for color, (i, _) in first.items():
+        if type(color) is not int:
+            out.append(Violation("T.color", (i,), f"label {color!r} at {i} is not a color"))
+    return ValidationReport(tuple(out))
 
 
 # ---------------------------------------------------------------------------
 # canonical order
+#
+# Models of one k are ordered shorter first, then point by point: R-points
+# before S-points, an R-point by its color, an S-point by its stored
+# (ascending) color tuple. A key is one flat tuple, (n, tag, label, ..., tag,
+# label) for n points, where an R-point contributes 0 and its color and an
+# S-point 1 and its own colors tuple, shared and not copied. Tuples compare item
+# by item and a tag is compared before its label, so two labels are compared
+# only under equal tags: int with int, tuple with tuple. Keying a model builds
+# that one tuple and nothing else.
 
 
-def point_key(p: Point) -> tuple[int, tuple[int, ...]]:
-    """R-points before S-points; R by color, S by its stored (ascending) color tuple."""
-    if isinstance(p, RPoint):
-        return (0, (p.color,))
+def point_key(p: Point) -> tuple[int, BlockKind | tuple[BlockKind, ...]]:
+    """The (tag, label) pair that `p` contributes to canonical_key."""
+    if type(p) is RPoint:
+        return (0, p.color)
     return (1, p.colors)
 
 
-def canonical_key(m: MulticoloredModel) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The sort key of the canonical order on models of one k: shorter first,
-    then pointwise by point_key. Equal keys mean equal points, so the order is
-    total; the streams of enumeration yield models in it."""
-    return (len(m.points), tuple([point_key(p) for p in m.points]))
+def canonical_key(m: MulticoloredModel) -> tuple:
+    """The sort key of the canonical order on models of one k: the flat tuple
+    (n, tag, label, ...) of point_key pairs after the number of points n.
+    Equal keys mean equal points, so the order is total; the streams of
+    enumeration yield models in it."""
+    key = [len(m.points)]
+    for p in m.points:  # point_key inlined: this runs once per point keyed
+        key += (0, p.color) if type(p) is RPoint else (1, p.colors)
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import pytest
 
@@ -82,8 +83,9 @@ def test_expand_colored_examples():
         MulticoloredModel(2, [SPoint({1, 2})], False)
     ) == ColoredDescription([SPoint({1, 2})])
     assert contract_colored(ColoredDescription([]), 0) == MulticoloredModel(0, [], False)
-    for label in (True, OMEGA):  # a bool or a block kind is no color: refused, neither coerced nor a TypeError
-        with pytest.raises(ValueError, match=f"^color {label} outside 1..2$"):
+    for label in (True, OMEGA, "x", 2.0):  # no color: refused by validation, neither coerced nor a TypeError
+        message = f"invalid colored description: T.color: label {label!r} at 0 is not a color"
+        with pytest.raises(InvalidStructureError, match=f"^{re.escape(message)}$"):
             contract_colored(ColoredDescription([RPoint(label)]), 2)
     with pytest.raises(ValueError, match="adjacency-unconstrained"):
         expand_colored(MulticoloredModel(1, [RPoint(1)], True))

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from homcount.model import (
     SPoint,
     ZETA,
     canonical_key,
+    kind_key,
     colored_description_from_dict,
     colored_description_to_dict,
     description_from_dict,
@@ -215,6 +217,27 @@ def test_validate_colored_description():
         ColoredDescription([RPoint(1), SPoint({1, 2})])
     )
     assert bad.axioms() == {"T.disjoint"}
+    # a label that is no color is reported once, at its first position, like T.kind
+    for d, axioms in [
+        ((RPoint(True),), {"T.color"}),
+        ((RPoint(1), SPoint([OMEGA, 2])), {"T.color"}),
+        ((RPoint("x"), RPoint("x")), {"T.disjoint", "T.color"}),
+        ((SPoint([2.5, 1]),), {"T.color"}),
+    ]:
+        assert validate_colored_description(d).axioms() == axioms, d
+    report = validate_colored_description((RPoint(2), SPoint([OMEGA, 1]), RPoint(OMEGA)))
+    assert [v for v in report.violations if v.axiom == "T.color"] == [
+        ("T.color", (1,), "label <InfiniteKind.OMEGA: 'omega'> at 1 is not a color")
+    ]
+
+
+def test_kind_key_is_a_total_order():
+    # ints and bools by value, then the infinite kinds, then any other label by type name and repr
+    assert kind_key(3) == (0, 3) and kind_key(True) == (0, True)
+    assert kind_key(OMEGA) == (1, 0) and kind_key(ZETA) == (1, 2)
+    assert SPoint([1, "x"]).colors == (1, "x")
+    assert SPoint(["b", ZETA, 2.5, "a", -1, OMEGA_STAR]).colors == (-1, OMEGA_STAR, ZETA, 2.5, "a", "b")
+    assert validate_description((SPoint([1, "x"]),)).axioms() == {"T.kind"}
 
 
 def test_colored_points_are_the_model_points():
@@ -255,6 +278,54 @@ def test_points_and_models_are_immutable_value_tuples():
                         (RPoint(1), "extra"), (validate_model(m), "violations")]:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+def nested_key(m):
+    """The canonical key as a nested tuple: (n, ((tag, label tuple), ...))."""
+    return (len(m.points), tuple((0, (p.color,)) if type(p) is RPoint else (1, p.colors) for p in m.points))
+
+
+def test_flat_key_orders_like_the_nested_key():
+    # every model at k <= 4 of both theories, pooled: equal ranks among the distinct keys
+    # under both keys mean the same pairwise order and the same equalities
+    from homcount.enumeration import enumerate_models
+
+    models = [m for k in range(5) for constrained in (True, False) for m in enumerate_models(k, constrained)]
+
+    def ranks(key):
+        rank = {value: i for i, value in enumerate(sorted({key(m) for m in models}))}
+        return [rank[key(m)] for m in models]
+
+    assert ranks(canonical_key) == ranks(nested_key)
+    assert canonical_key(MulticoloredModel(3, [RPoint(1), SPoint({2, 3})])) == (2, 0, 1, 1, (2, 3))
+
+
+def test_key_items_are_ints_or_the_points_own_colors():
+    from homcount.enumeration import enumerate_models
+
+    for m in enumerate_models(4, False):
+        key = canonical_key(m)
+        assert type(key) is tuple and key[0] == len(m.points) == (len(key) - 1) // 2
+        for p, tag, label in zip(m.points, key[1::2], key[2::2]):
+            assert type(tag) is int
+            if type(p) is RPoint:
+                assert (tag, label) == (0, p.color) and type(label) is int
+            else:
+                assert tag == 1 and label is p.colors
+
+
+def test_keys_of_the_k6_stream_stay_small():
+    # one tuple per model: about 8 MB for the 64,734 keys; a nested pair per point took 29 MB
+    from homcount.enumeration import enumerate_models
+
+    models = list(enumerate_models(6, True))
+    tracemalloc.start()
+    try:
+        keys = [canonical_key(m) for m in models]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 64734 and size < 12_000_000
 
 
 def test_canonical_key_is_total_order():
