@@ -13,6 +13,13 @@ suite re-query small cells heavily. GrowingTable is also the type of
 counting's recurrence tables, but the class keeps no state: every instance
 owns its list, its lock and the function that computes its next entry, so the
 recurrences and the closed form that checks them share no entry.
+
+Two rules for integer inputs live here, because every layer loads this module:
+integer(value, noun) accepts only an int (a bool, a float or a string is
+refused, never coerced), and nonnegative(value, noun) also refuses a value
+below 0. Every k, series order, cap and JSON integer of the package goes
+through one of them, and each refusal is a ValueError that names the input by
+its noun.
 """
 
 from __future__ import annotations
@@ -22,6 +29,23 @@ import threading
 
 factorial = math.factorial  # n! for n >= 0
 binomial = math.comb  # C(n, r) for n, r >= 0; zero when r > n
+
+
+def integer(value, noun: str) -> int:
+    """`value` if it is an int. A bool (JSON's true loads as one), a float and
+    a string are refused with a ValueError naming `noun`, not coerced."""
+    if type(value) is int:
+        return value
+    raise ValueError(f"{noun} must be an integer, got {value!r}")
+
+
+def nonnegative(value, noun: str) -> int:
+    """`value` if it is an int >= 0, so a bound can be checked on the result; a
+    value that is no int is refused by integer(), a negative one here."""
+    if type(value) is int and value >= 0:  # the valid case in one test: counting's lookups run this
+        return value
+    integer(value, noun)
+    raise ValueError(f"{noun} must be nonnegative, got {value}")
 
 
 class GrowingTable:

@@ -32,6 +32,7 @@ import itertools
 import math
 from typing import Union
 
+from homcount.combinatorics import nonnegative
 from homcount.model import (
     BlockKind,
     ColoredDescription,
@@ -66,11 +67,6 @@ def _require(report: ValidationReport, what: str) -> None:
         raise InvalidStructureError(what, report)
 
 
-def _require_nonnegative(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-
-
 def expand_model(m: MulticoloredModel) -> OrderingDescription:
     """Constrained model -> ordering description (color i <-> block size i)."""
     if not m.adjacency_constrained:
@@ -81,7 +77,7 @@ def expand_model(m: MulticoloredModel) -> OrderingDescription:
 
 def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_model; every kind must be finite with size <= k."""
-    _require_nonnegative(k)
+    nonnegative(k, "k")
     _require(validate_description(d), "description")
     for p in d:
         for kind in p.colors:
@@ -100,7 +96,7 @@ def expand_colored(m: MulticoloredModel) -> ColoredDescription:
 
 def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_colored."""
-    _require_nonnegative(k)
+    nonnegative(k, "k")
     _require(validate_colored_description(d), "colored description")
     for p in d:
         for c in p.colors:

@@ -21,7 +21,7 @@ The reference term list of I starts at k=1, every other list at k=0. The
 route table (routes.ROUTES) names the sequences, as the CLI prints them, and
 records each one's first index beside its methods; it also bounds the index
 its recurrence and closed-form routes accept. These functions themselves take
-any nonnegative k.
+any int k >= 0; a bool or a float is refused (combinatorics.nonnegative).
 
 The recurrences K1, J and Fubini are three combinatorics.GrowingTable
 instances, each with its own list and lock. Each recurrence is a binomial
@@ -50,12 +50,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import ceil
 
-from homcount.combinatorics import GrowingTable, binomial, factorial, stirling2
-
-
-def _require_nonnegative(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"sequence index must be nonnegative, got {k}")
+from homcount.combinatorics import GrowingTable, binomial, factorial, nonnegative, stirling2
 
 
 def _euler_seidel(entry) -> GrowingTable:
@@ -102,23 +97,20 @@ _fubini_values = _euler_seidel(_fubini_entry)
 
 def k1(k: int) -> int:
     """Surjective constrained models whose first point is an S-point (1 at k=0)."""
-    _require_nonnegative(k)
-    return _k1_values[k]
+    return _k1_values[nonnegative(k, "sequence index")]
 
 
 def k2(k: int) -> int:
     """Surjective constrained models whose first point is an R-point."""
-    _require_nonnegative(k)
-    return k * k1(k - 1) if k else 0
+    return k * _k1_values[k - 1] if nonnegative(k, "sequence index") else 0
 
 
 def count_I(k: int) -> int:
     """Constrained models over colors 1..k, empty model included.
 
-    The reference term list for this sequence starts at k=1. A negative k is
-    refused by k1, which the sum reads first.
+    The reference term list for this sequence starts at k=1.
     """
-    return 2 * k1(k) + k2(k) if k else 1
+    return 2 * _k1_values[k] + k * _k1_values[k - 1] if nonnegative(k, "sequence index") else 1
 
 
 def closed_form_I(k: int) -> int:
@@ -136,9 +128,9 @@ def closed_form_I_terms(lo: int, hi: int) -> list[int]:
     positions, their colors and order, the order of the S color sets, and the
     partition of the remaining colors into them.
     """
-    _require_nonnegative(lo)
+    nonnegative(lo, "sequence index")
     inner = [0]  # no nonempty model uses no color
-    for m in range(1, hi + 1):
+    for m in range(1, nonnegative(hi, "sequence index") + 1):
         inner.append(sum(
             binomial(n - r + 1, r) * binomial(m, r) * factorial(r) * factorial(n - r) * stirling2(m - r, n - r)
             for n in range(1, m + 1)
@@ -149,8 +141,7 @@ def closed_form_I_terms(lo: int, hi: int) -> list[int]:
 
 def j_surjective(k: int) -> int:
     """Unconstrained models using all k colors."""
-    _require_nonnegative(k)
-    return _j_values[k]
+    return _j_values[nonnegative(k, "sequence index")]
 
 
 def count_L(k: int) -> int:
@@ -158,12 +149,11 @@ def count_L(k: int) -> int:
 
     The sum over i <= k of C(k, i) J(i) includes the i=0 term (the empty
     ordering); starting it at i=1 would contradict every reference term from
-    L(1) on. A negative k is refused by j_surjective, which the sum reads first.
+    L(1) on.
     """
-    return 2 * j_surjective(k) - k * j_surjective(k - 1) if k else 1
+    return 2 * _j_values[k] - k * _j_values[k - 1] if nonnegative(k, "sequence index") else 1
 
 
 def fubini(k: int) -> int:
     """Ordered set partitions of a k-set."""
-    _require_nonnegative(k)
-    return _fubini_values[k]
+    return _fubini_values[nonnegative(k, "sequence index")]

@@ -6,13 +6,13 @@ Models are produced shortest first, then lexicographically by point encoding
 stores in ascending order), exactly the order of model.canonical_key. One
 generator, _batches, serves all three public streams; it recurses over the
 next point and reads that point's candidates from a per-mask move table
-(_point_moves) of (point, rest, size) triples in canonical order, sorted by
-model.point_key. The moves come from kernel._children, the one statement of
-the move rule that the counting walk reads too. Each RPoint and SPoint is built
-once per color or color mask and shared by every table and every model (points
-are immutable named tuples). The same points are the streamed models'
-descriptions too: a description is a tuple of points over block kinds, and the
-finite kind of size i is color i.
+(_point_moves) of (point, rest, size) triples in canonical order: R-moves by
+color, S-moves sorted by their stored color tuples. The moves come from
+kernel._children, the one statement of the move rule that the counting walk
+reads too. Each RPoint and SPoint is built once per color or color mask and
+shared by every table and every model (points are immutable named tuples).
+The same points are the streamed models' descriptions too: a description is a
+tuple of points over block kinds, and the finite kind of size i is color i.
 
 Models come out in bulk. The recursion yields batches, lazy iterators of
 models, and _stream flattens them with itertools.chain.from_iterable, so no
@@ -50,7 +50,7 @@ from typing import Iterable, Iterator
 
 from homcount import kernel
 from homcount.kernel import check_cap
-from homcount.model import MulticoloredModel, Point, RPoint, SPoint, point_key
+from homcount.model import MulticoloredModel, Point, RPoint, SPoint
 
 
 BULK_COLORS = 3  # at least 1: a prefix with at most this many free colors is one batch from _suffixes
@@ -76,7 +76,7 @@ def _point_moves(avail: int) -> tuple[tuple, tuple]:
     r_rests, s_rests = kernel._children(avail)
     r_moves = tuple([(_r_point(avail ^ rest), rest, 1) for rest in r_rests])
     s_moves = [(_s_point(avail ^ rest), rest, (avail ^ rest).bit_count()) for rest in s_rests]
-    s_moves.sort(key=lambda move: point_key(move[0]))
+    s_moves.sort(key=lambda move: move[0].colors)
     return r_moves, tuple(s_moves)
 
 

@@ -31,7 +31,9 @@ Two bounds guard the brute-force layer. check_k refuses k outside 0..MAX_K,
 where no move table could be built; check_cap refuses k beyond the brute-force
 cap (an explicit cap, else HOMCOUNT_CAP, else DEFAULT_CAP = 7), which every
 capped entry point applies before it walks. Both live here, so the CLI's
-brute-force routes load no other module.
+brute-force routes load no other layer; a k and a cap that are no int >= 0
+are refused by combinatorics.nonnegative, the package's one rule for them,
+and the CLI loads combinatorics anyway, through counting.
 """
 
 from __future__ import annotations
@@ -39,16 +41,16 @@ from __future__ import annotations
 import os
 from functools import cache
 
+from homcount.combinatorics import nonnegative
+
 BACKEND = "python"  # the only backend; the benchmark records it with each run
 
 MAX_K = 12  # the walks and the model streams refuse larger k before building any table
 
 
 def check_k(k: int) -> None:
-    """Refuse k outside 0..MAX_K with a ValueError."""
-    if k < 0:
-        raise ValueError(f"color count must be nonnegative, got {k}")
-    if k > MAX_K:
+    """Refuse a k that is no int in 0..MAX_K with a ValueError."""
+    if nonnegative(k, "color count") > MAX_K:
         raise ValueError(f"brute force not supported beyond k={MAX_K}, got {k}")
 
 
@@ -68,13 +70,11 @@ class BruteForceCapError(ValueError):
 
 
 def brute_force_cap(override: int | None = None) -> int:
-    """`override`, else HOMCOUNT_CAP, else DEFAULT_CAP; a negative `override` or a
+    """`override`, else HOMCOUNT_CAP, else DEFAULT_CAP; an `override` or a
     HOMCOUNT_CAP that is not a nonnegative integer is refused with a ValueError
     naming it."""
     if override is not None:
-        if override < 0:
-            raise ValueError(f"cap must be nonnegative, got {override}")
-        return override
+        return nonnegative(override, "cap")
     env = os.environ.get("HOMCOUNT_CAP")
     if not env:
         return DEFAULT_CAP
@@ -89,9 +89,10 @@ def brute_force_cap(override: int | None = None) -> int:
 
 def check_cap(k: int, cap: int | None) -> None:
     """Refuse a brute-force request for k beyond the cap (`cap`, else
-    HOMCOUNT_CAP, else DEFAULT_CAP) with BruteForceCapError."""
+    HOMCOUNT_CAP, else DEFAULT_CAP) with BruteForceCapError, after refusing a
+    cap, then a k, that is no int >= 0 with a ValueError."""
     limit = brute_force_cap(cap)
-    if k > limit:
+    if nonnegative(k, "color count") > limit:
         raise BruteForceCapError(k, limit)
 
 

@@ -73,6 +73,8 @@ from __future__ import annotations
 import enum
 from typing import Iterable, NamedTuple, Union
 
+from homcount.combinatorics import integer, nonnegative
+
 
 # ---------------------------------------------------------------------------
 # block kinds, points, models and descriptions
@@ -267,41 +269,26 @@ def validate_colored_description(d: ColoredDescription) -> ValidationReport:
 # Models of one k are ordered shorter first, then point by point: R-points
 # before S-points, an R-point by its color, an S-point by its stored
 # (ascending) color tuple. A key is one flat tuple, (n, tag, label, ..., tag,
-# label) for n points, where an R-point contributes 0 and its color and an
-# S-point 1 and its own colors tuple, shared and not copied. Tuples compare item
-# by item and a tag is compared before its label, so two labels are compared
-# only under equal tags: int with int, tuple with tuple. Keying a model builds
-# that one tuple and nothing else.
-
-
-def point_key(p: Point) -> tuple[int, BlockKind | tuple[BlockKind, ...]]:
-    """The (tag, label) pair that `p` contributes to canonical_key."""
-    if type(p) is RPoint:
-        return (0, p.color)
-    return (1, p.colors)
+# label) for n points, where an R-point contributes the pair (0, its color) and
+# an S-point the pair (1, its own colors tuple), shared and not copied. Tuples
+# compare item by item and a tag is compared before its label, so two labels
+# are compared only under equal tags: int with int, tuple with tuple. Keying a
+# model builds that one tuple and nothing else.
 
 
 def canonical_key(m: MulticoloredModel) -> tuple:
     """The sort key of the canonical order on models of one k: the flat tuple
-    (n, tag, label, ...) of point_key pairs after the number of points n.
-    Equal keys mean equal points, so the order is total; the streams of
-    enumeration yield models in it."""
+    (n, tag, label, ...) of each point's (tag, label) pair after the number of
+    points n. Equal keys mean equal points, so the order is total; the streams
+    of enumeration yield models in it."""
     key = [len(m.points)]
-    for p in m.points:  # point_key inlined: this runs once per point keyed
+    for p in m.points:
         key += (0, p.color) if type(p) is RPoint else (1, p.colors)
     return tuple(key)
 
 
 # ---------------------------------------------------------------------------
 # JSON wire formats (bit-exact contracts; label sets are lists in stored order, never bitmasks)
-
-
-def _int(value, what: str) -> int:
-    """`value` if it is a JSON integer. JSON's booleans load as bool and its
-    floats as float, so both are refused here rather than coerced."""
-    if type(value) is int:
-        return value
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _bool(value, what: str) -> bool:
@@ -326,7 +313,7 @@ def kind_to_json(kind: BlockKind):
 
 def kind_from_json(data) -> BlockKind:
     if isinstance(data, dict) and set(data) == {"finite"}:
-        return _int(data["finite"], "finite size")
+        return integer(data["finite"], "finite size")
     if isinstance(data, str):
         for member in InfiniteKind:
             if member.value == data:
@@ -338,8 +325,9 @@ def kind_from_json(data) -> BlockKind:
 # label's encoder and its decoder. Each is given the value and the noun that
 # an error names it by. The encoder refuses what the decoder would refuse, so
 # no writer emits a document that its reader refuses; a color is written as
-# is once _int has checked it.
-_COLORS = ("color", _int, _int)
+# is once combinatorics.integer has checked it (JSON's booleans load as bool
+# and its floats as float, so both are refused rather than coerced).
+_COLORS = ("color", integer, integer)
 _KINDS = ("kind", lambda kind, what: kind_to_json(kind), lambda data, what: kind_from_json(data))
 
 
@@ -388,15 +376,17 @@ def _malformed(what: str, exc: Exception) -> ValueError:
 
 
 def model_to_dict(m: MulticoloredModel) -> dict:
+    """The model's wire form. A k, a flag or a label that model_from_dict would
+    refuse is refused here with the reader's message."""
+    k = nonnegative(m.k, "k")
+    constrained = _bool(m.adjacency_constrained, "adjacency_constrained")
     points = _points_to_json(m.points, "R", "S", _COLORS)
-    return {"k": m.k, "adjacency_constrained": m.adjacency_constrained, "points": points}
+    return {"k": k, "adjacency_constrained": constrained, "points": points}
 
 
 def model_from_dict(data: dict) -> MulticoloredModel:
     try:
-        k = _int(data["k"], "k")
-        if k < 0:
-            raise ValueError(f"k must be nonnegative, got {k}")
+        k = nonnegative(data["k"], "k")
         constrained = _bool(data["adjacency_constrained"], "adjacency_constrained")
         points = _points_from_json(_list(data["points"], "points"), "R", "S", _COLORS)
     except (KeyError, TypeError) as exc:

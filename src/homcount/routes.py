@@ -11,18 +11,19 @@ terms(lo, hi, cap) -> [term lo, ..., term hi]:
 * a brute-force route applies the cap to hi (kernel.check_cap), then runs one
   kernel.root_split walk per k.
 
-Every route refuses an index below its sequence's first index and a negative
-cap, and a method with an entry in BOUNDS refuses hi above it (a recurrence
-above BOUNDS["recurrence"], the closed form above BOUNDS["closed-form"]), all
-before any table grows; the counting functions themselves stay unbounded. The
-EGF builders and the walk carry their own bounds (series.MAX_ORDER,
-kernel.MAX_K). Each route looks its function up on its module when it runs,
-so a function patched there is the one it calls.
+Every route refuses an index that is no int (combinatorics.integer) or is
+below its sequence's first index, and a negative cap, and a method with an
+entry in BOUNDS refuses hi above it (a recurrence above BOUNDS["recurrence"],
+the closed form above BOUNDS["closed-form"]), all before any table grows; the
+counting functions themselves stay unbounded. The EGF builders and the walk
+carry their own bounds (series.MAX_ORDER, kernel.MAX_K). Each route looks its
+function up on its module when it runs, so a function patched there is the
+one it calls.
 
 `count` prints terms(k, k, cap), `export` lists the default route from the
 first index, and verify's route-agreement checks compare two routes' term
-lists. This module loads counting and kernel only; an EGF route imports
-series when it runs.
+lists. This module loads counting and kernel only (and combinatorics, which
+both load); an EGF route imports series when it runs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from functools import partial
 from operator import itemgetter
 
 from homcount import counting, kernel
+from homcount.combinatorics import integer
 
 # The largest k of each exact method. Python 3.11, 2-core VM: `count` in a fresh process takes
 # I(1500) 1.5 s, I(2000) 3.1 s and 30 MB peak by recurrence. The closed form's inner sums grow about
@@ -75,8 +77,9 @@ def _walk(pick: Callable, constrained: bool, surjective: bool, r_points: bool = 
 
 
 def _checked(seq: str, start: int, method: str, terms: Terms, lo: int, hi: int, cap: int | None) -> list[int]:
-    """terms(lo, hi, cap), refusing an index below `start`, a negative cap and hi above BOUNDS[method] first."""
-    if min(lo, hi) < start:
+    """terms(lo, hi, cap), refusing an index that is no int or is below `start`, a negative cap and hi above
+    BOUNDS[method] first."""
+    if min(integer(lo, "sequence index"), integer(hi, "sequence index")) < start:
         raise ValueError(f"sequence {seq} starts at k={start}")
     if cap is not None:
         kernel.brute_force_cap(cap)  # refuses a negative cap, whatever the method

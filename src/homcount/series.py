@@ -26,7 +26,8 @@ those ints, and each output coefficient is one Fraction(num, da*db), reduced
 once. A Fraction product and sum per term would pay a gcd per term, and the
 O(n^3) Horner composition in egf_f made that the cost of the whole route.
 
-The three builders refuse an order above MAX_ORDER before building anything.
+The three builders refuse an order that is no int in 0..MAX_ORDER before
+building anything.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
-from homcount.combinatorics import factorial
+from homcount.combinatorics import factorial, nonnegative
 
 Coefficient = Union[Fraction, int]
 
@@ -126,9 +127,7 @@ def _exp_line(sign: int, c0: int, c1: int, order: int) -> TruncatedSeries:
 
 
 def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError(f"series order must be nonnegative, got {order}")
-    if order > MAX_ORDER:
+    if nonnegative(order, "series order") > MAX_ORDER:
         raise ValueError(f"series not supported beyond order {MAX_ORDER}, got {order}")
 
 

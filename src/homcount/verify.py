@@ -187,10 +187,8 @@ def _finite_homogeneity():
 
 
 def run_checks(k_max: int = 25, series_order: int = 25, cap: int | None = None) -> list[CheckResult]:
-    for arg, value in (("k_max", k_max), ("series_order", series_order)):
-        if value < 0:
-            raise ValueError(f"{arg} must be nonnegative, got {value}")
-    if series_order > series.MAX_ORDER:
+    combinatorics.nonnegative(k_max, "k_max")
+    if combinatorics.nonnegative(series_order, "series_order") > series.MAX_ORDER:
         raise ValueError(f"series_order must be at most {series.MAX_ORDER}, got {series_order}")
     # every walk below stays at k <= brute_limit, so the brute-force routes' cap check passes
     brute_limit = min(k_max, kernel.brute_force_cap(cap))

@@ -1,6 +1,7 @@
 """Oracle and property tests for the combinatorial primitives."""
 
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from homcount.combinatorics import GrowingTable, binomial, factorial, stirling2
+from homcount import correspondence, counting, enumeration, kernel, series, verify
+from homcount.combinatorics import GrowingTable, binomial, factorial, integer, nonnegative, stirling2
+from homcount.model import MulticoloredModel, model_from_dict, model_to_dict
+from homcount.routes import ROUTES
 
 
 def product_oracle(n):
@@ -163,3 +167,65 @@ def test_rational_arithmetic_is_exact():
         b = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         assert (a + b) - b == a
         assert b == 0 or (a / b) * b == a
+
+
+def test_integer_and_nonnegative():
+    assert integer(-3, "x") == -3
+    assert nonnegative(0, "x") == 0
+    assert nonnegative(10**30, "x") == 10**30
+    for value in (True, False, 2.0, "3", None):
+        for rule in (integer, nonnegative):
+            with pytest.raises(ValueError, match=f"^the noun must be an integer, got {re.escape(repr(value))}$"):
+                rule(value, "the noun")
+    with pytest.raises(ValueError, match="^the noun must be nonnegative, got -1$"):
+        nonnegative(-1, "the noun")
+
+
+# every library entry point that takes a k, an order or a cap: (call, the noun its refusals name, and its
+# refusal of -1 where that is not "<noun> must be nonnegative, got -1")
+_INDEX_ENTRY_POINTS = {
+    "k1": (counting.k1, "sequence index", None),
+    "k2": (counting.k2, "sequence index", None),
+    "count_I": (counting.count_I, "sequence index", None),
+    "count_L": (counting.count_L, "sequence index", None),
+    "j_surjective": (counting.j_surjective, "sequence index", None),
+    "fubini": (counting.fubini, "sequence index", None),
+    "closed_form_I": (counting.closed_form_I, "sequence index", None),
+    "closed_form_I_terms-lo": (lambda v: counting.closed_form_I_terms(v, 0), "sequence index", None),
+    "closed_form_I_terms-hi": (lambda v: counting.closed_form_I_terms(0, v), "sequence index", None),
+    "route-L-recurrence": (lambda v: ROUTES["L"][1]["recurrence"](v, v, None), "sequence index",
+                           "sequence L starts at k=0"),
+    "route-L-brute-force": (lambda v: ROUTES["L"][1]["brute-force"](v, v, None), "sequence index",
+                            "sequence L starts at k=0"),
+    "check_k": (kernel.check_k, "color count", None),
+    "root_split": (lambda v: kernel.root_split(v, True, False), "color count", None),
+    "count_models": (lambda v: kernel.count_models(v, True), "color count", None),
+    "brute_force_cap": (kernel.brute_force_cap, "cap", None),
+    "check_cap-cap": (lambda v: kernel.check_cap(0, v), "cap", None),
+    "check_cap-k": (lambda v: kernel.check_cap(v, None), "color count", None),
+    "enumerate_models": (lambda v: next(enumeration.enumerate_models(v)), "color count", None),
+    "enumerate_surjective": (lambda v: next(enumeration.enumerate_surjective(v, False)), "color count", None),
+    "enumerate_ordered_set_partitions": (lambda v: next(enumeration.enumerate_ordered_set_partitions(v)),
+                                         "color count", None),
+    "surjective_first_point_split": (enumeration.surjective_first_point_split, "color count", None),
+    "egf_f": (series.egf_f, "series order", None),
+    "egf_H": (series.egf_H, "series order", None),
+    "egf_fubini": (series.egf_fubini, "series order", None),
+    "run_checks-k_max": (lambda v: verify.run_checks(k_max=v, series_order=0), "k_max", None),
+    "run_checks-series_order": (lambda v: verify.run_checks(k_max=0, series_order=v), "series_order", None),
+    "contract_description": (lambda v: correspondence.contract_description((), v), "k", None),
+    "contract_colored": (lambda v: correspondence.contract_colored((), v), "k", None),
+    "model_from_dict": (lambda v: model_from_dict({"k": v, "adjacency_constrained": True, "points": []}), "k", None),
+    "model_to_dict": (lambda v: model_to_dict(MulticoloredModel(v)), "k", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEX_ENTRY_POINTS))
+def test_every_index_is_an_int_at_least_zero(name):
+    call, noun, negative = _INDEX_ENTRY_POINTS[name]
+    for value in (True, False, 2.0, 0.0, "3"):  # refused by name, never coerced or left to a TypeError
+        with pytest.raises(ValueError, match=f"^{noun} must be an integer, got {re.escape(repr(value))}$"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(negative or f'{noun} must be nonnegative, got -1')}$"):
+        call(-1)
+    call(0)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -396,6 +397,17 @@ def test_writers_refuse_labels_their_readers_refuse():
         colored_description_to_dict((RPoint(OMEGA),))
     with pytest.raises(ValueError, match="^color must be an integer, got True$"):
         model_from_dict({"k": 2, "adjacency_constrained": False, "points": [{"type": "R", "color": True}]})
+
+
+@pytest.mark.parametrize("constrained", [1, None, "true"])
+def test_model_writer_refuses_the_flag_its_reader_refuses(constrained):
+    # the writer names the flag as model_from_dict names it in the document it would have written; a k that
+    # is no int >= 0 is a row of tests/test_combinatorics.py::test_every_index_is_an_int_at_least_zero
+    message = f"^adjacency_constrained must be true or false, got {re.escape(repr(constrained))}$"
+    with pytest.raises(ValueError, match=message):
+        model_to_dict(MulticoloredModel(2, [RPoint(1)], constrained))
+    with pytest.raises(ValueError, match=message):
+        model_from_dict({"k": 2, "adjacency_constrained": constrained, "points": [{"type": "R", "color": 1}]})
 
 
 def test_json_rejects_malformed():
