@@ -5,6 +5,11 @@ Z = 2 - W(e^2) with W the principal Lambert branch. The residues there give
 the first-order coefficient approximation A(k) and the limiting fraction of
 surjective models 1/W(e^2). This module is the only inexact one in the
 package: everything is IEEE double, and tolerances are pinned by the tests.
+
+Every index here is an int >= 0 under combinatorics.nonnegative's rule: approx_A
+names it k and ratio_report k_max, each then bounded by 170 (the log-factorial
+range), and bound_ratio_I leaves the check to count_I ("sequence index"). A
+bool or a float is refused, never read as a number.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from homcount.combinatorics import factorial
+from homcount.combinatorics import factorial, nonnegative
 from homcount.counting import count_I, count_L, j_surjective
 
 _GROWTH_BASE = 2.123  # base of the proven I(k) growth bound
@@ -81,7 +86,7 @@ def approx_A(k: int) -> float:
     From k = 147 the true value exceeds the double range and the result
     saturates to inf.
     """
-    if not 0 <= k <= _MAX_RATIO_K:
+    if nonnegative(k, "k") > _MAX_RATIO_K:
         raise ValueError(f"approx_A supports 0 <= k <= {_MAX_RATIO_K}, got {k}")
     c = constants()
     return -factorial(k) * c.R * (1 / c.Z) ** (k + 1)
@@ -93,9 +98,8 @@ def growth_bound_grid_check() -> float:
 
 
 def bound_ratio_I(k: int) -> float:
-    """count_I(k) / (k! * 2.123^k), the diagnostic for the growth bound."""
-    if k < 0:
-        raise ValueError(f"bound_ratio_I requires k >= 0, got {k}")
+    """count_I(k) / (k! * 2.123^k), the diagnostic for the growth bound; count_I
+    checks k."""
     log_ratio = (
         math.log(count_I(k)) - math.lgamma(k + 1) - k * math.log(_GROWTH_BASE)
     )
@@ -110,7 +114,7 @@ class RatioRow(NamedTuple):
 
 def ratio_report(k_max: int) -> list[RatioRow]:
     """Convergence table for the approximation and the surjective proportion."""
-    if not 0 <= k_max <= _MAX_RATIO_K:
+    if nonnegative(k_max, "k_max") > _MAX_RATIO_K:
         raise ValueError(f"ratio_report supports 0 <= k_max <= {_MAX_RATIO_K}, got {k_max}")
     rows = []
     for k in range(k_max + 1):

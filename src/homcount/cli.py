@@ -30,7 +30,6 @@ import json
 import os
 import sys
 from decimal import Decimal
-from fractions import Fraction
 
 from homcount import kernel
 from homcount.routes import ROUTES
@@ -39,14 +38,14 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 
-def _digits(value: int | Fraction) -> str:
-    """str(value), also past sys.get_int_max_str_digits(): Decimal(int) is exact
-    and converts without going through str."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return _digits(value.numerator)
-        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
-    return str(Decimal(value))
+def _digits(value) -> str:
+    """str(value) of an int or a Fraction, also past sys.get_int_max_str_digits():
+    Decimal(int) is exact and converts without going through str. Both types have
+    a numerator and a denominator (an int's is 1), so this module never loads
+    fractions."""
+    if value.denominator == 1:
+        return str(Decimal(value.numerator))
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def _sequence(value: str) -> str:

@@ -17,9 +17,9 @@ recurrences and the closed form that checks them share no entry.
 Two rules for integer inputs live here, because every layer loads this module:
 integer(value, noun) accepts only an int (a bool, a float or a string is
 refused, never coerced), and nonnegative(value, noun) also refuses a value
-below 0. Every k, series order, cap and JSON integer of the package goes
-through one of them, and each refusal is a ValueError that names the input by
-its noun.
+below 0. Every k, series order, coefficient index, cap and JSON integer of the
+package goes through one of them, stirling2's n and m and asymptotics' k
+included, and each refusal is a ValueError that names the input by its noun.
 """
 
 from __future__ import annotations
@@ -90,10 +90,11 @@ def stirling2(n: int, m: int) -> int:
     Partitions of an n-set into m nonempty blocks. S(0, 0) = 1 (the closed-form
     sums evaluate the (0, 0) cell when a model has no shuffle points, and every
     hand-checked term requires the empty-partition convention); S(n, 0) = 0 for
-    n > 0 and S(n, m) = 0 for m > n.
+    n > 0 and S(n, m) = 0 for m > n. Both arguments are ints >= 0, named n and m
+    in a refusal.
     """
-    if n < 0 or m < 0:
-        raise ValueError(f"stirling2 arguments must be nonnegative, got ({n}, {m})")
-    if m > n:
-        return 0
-    return _stirling_triangle[n][m]
+    if type(n) is int and type(m) is int and 0 <= m <= n:  # one test: closed_form_I reads a cell per term
+        return _stirling_triangle[n][m]
+    nonnegative(n, "n")
+    nonnegative(m, "m")
+    return 0

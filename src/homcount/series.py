@@ -26,8 +26,10 @@ those ints, and each output coefficient is one Fraction(num, da*db), reduced
 once. A Fraction product and sum per term would pay a gcd per term, and the
 O(n^3) Horner composition in egf_f made that the cost of the whole route.
 
-The three builders refuse an order that is no int in 0..MAX_ORDER before
-building anything.
+The three builders and verify.run_checks refuse an order that is no int in
+0..MAX_ORDER before building anything, through check_order. egf_counts takes
+its coefficient index under the same rule (combinatorics.nonnegative), and
+refuses one above the series' order.
 """
 
 from __future__ import annotations
@@ -126,32 +128,35 @@ def _exp_line(sign: int, c0: int, c1: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def _check_order(order: int) -> None:
+def check_order(order: int) -> None:
+    """Refuse an order that is no int in 0..MAX_ORDER with a ValueError; the
+    builders and verify.run_checks call it before building anything."""
     if nonnegative(order, "series order") > MAX_ORDER:
         raise ValueError(f"series not supported beyond order {MAX_ORDER}, got {order}")
 
 
 def egf_f(order: int) -> TruncatedSeries:
     """1/(2 - x - e^x): coefficient counts are the surjective model numbers."""
-    _check_order(order)
+    check_order(order)
     return ps_compose(ps_geometric(order), _exp_line(1, -1, 1, order))  # 1/(1 - (e^x + x - 1))
 
 
 def egf_H(order: int) -> TruncatedSeries:
     """e^x / (2 - x - e^x): coefficient counts are the k-colored ordering numbers."""
-    _check_order(order)
+    check_order(order)
     return ps_mul(ps_exp(order), ps_reciprocal(_exp_line(-1, 2, -1, order)))
 
 
 def egf_fubini(order: int) -> TruncatedSeries:
     """1/(2 - e^x): coefficient counts are the ordered set partition numbers."""
-    _check_order(order)
+    check_order(order)
     return ps_reciprocal(_exp_line(-1, 2, 0, order))
 
 
 def egf_counts(s: TruncatedSeries, k: int) -> int:
-    """k! times coefficient k, which must come out a nonnegative integer."""
-    if not 0 <= k <= s.order:
+    """k! times coefficient k, which must come out a nonnegative integer; k is an
+    int in 0..s.order."""
+    if nonnegative(k, "coefficient index") > s.order:
         raise ValueError(f"coefficient {k} outside series order {s.order}")
     value = s.coeffs[k] * factorial(k)
     if value.denominator != 1 or value < 0:

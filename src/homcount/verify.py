@@ -188,8 +188,7 @@ def _finite_homogeneity():
 
 def run_checks(k_max: int = 25, series_order: int = 25, cap: int | None = None) -> list[CheckResult]:
     combinatorics.nonnegative(k_max, "k_max")
-    if combinatorics.nonnegative(series_order, "series_order") > series.MAX_ORDER:
-        raise ValueError(f"series_order must be at most {series.MAX_ORDER}, got {series_order}")
+    series.check_order(series_order)
     # every walk below stays at k <= brute_limit, so the brute-force routes' cap check passes
     brute_limit = min(k_max, kernel.brute_force_cap(cap))
     i_terms, l_terms = range(1, min(13, k_max) + 1), range(min(12, k_max) + 1)

@@ -75,7 +75,7 @@ def test_golden_commands_reproduce_their_bytes(monkeypatch):
 
 
 # run `python -m homcount <argv>` in a fresh interpreter, then report its exit code
-# and the package modules it imported, with any of _HEAVY, as the last line of stderr
+# and the package modules it imported, with any of _HEAVY and fractions, as the last line of stderr
 _HEAVY = ("dataclasses", "inspect")  # stdlib modules that no command needs, each costly to import
 _COLD_RUN = (
     "import runpy, sys\n"
@@ -83,7 +83,7 @@ _COLD_RUN = (
     "    runpy.run_module('homcount', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    f"print(code, *sorted(m for m in sys.modules if m.startswith('homcount.') or m in {_HEAVY!r}), file=sys.stderr)\n"
+    f"print(code, *sorted(m for m in sys.modules if m.startswith('homcount.') or m in {_HEAVY + ('fractions',)!r}), file=sys.stderr)\n"
 )
 _LAYERS = ("model", "enumeration", "correspondence", "series", "asymptotics", "verify")
 _MODEL_DOC = '{"k": 2, "adjacency_constrained": true, "points": [{"type": "R", "color": 1}]}'
@@ -113,6 +113,7 @@ def test_commands_import_only_the_layers_they_run(argv, stdin, layers):
     assert code == "0"
     assert {layer for layer in _LAYERS if f"homcount.{layer}" in loaded} == layers
     assert not set(_HEAVY) & set(loaded)
+    assert ("fractions" in loaded) == bool(layers & {"series", "verify"})  # only the exact series use it
 
 
 def test_count_recurrence(capsys):
@@ -305,7 +306,7 @@ def test_a_closed_stdout_ends_quietly():
         (["count", "--sequence", "Fubini", "--k", "121", "--method", "egf"],
          "series not supported beyond order 120, got 121"),
         (["series", "--egf", "f", "--terms", "100000"], "series not supported beyond order 120, got 100000"),
-        (["verify", "--terms", "121"], "series_order must be at most 120, got 121"),
+        (["verify", "--terms", "121"], "series not supported beyond order 120, got 121"),
     ],
     ids=["count-egf-L", "count-egf-J", "count-egf-fubini", "series", "verify"],
 )
@@ -642,7 +643,7 @@ _LONG_NUMBER_ERROR = f"Exceeds the limit ({sys.get_int_max_str_digits()} digits)
         (["contract", "--k", "3"],
          json.dumps({"segments": [{"type": "shuffle", "kinds": [{"finite": 1}, {"finite": 1}]}]}),
          "kinds repeats an entry: [{'finite': 1}, {'finite': 1}]"),
-        (["verify", "--terms", "-1"], "", "series_order must be nonnegative, got -1"),
+        (["verify", "--terms", "-1"], "", "series order must be nonnegative, got -1"),
         (["verify", "--cap", "-3"], "", "cap must be nonnegative, got -3"),
         (["count", "--sequence", "L", "--k", "0", "--method", "brute-force", "--cap", "-1"], "",
          "cap must be nonnegative, got -1"),

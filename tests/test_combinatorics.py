@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from homcount import correspondence, counting, enumeration, kernel, series, verify
+from homcount import asymptotics, correspondence, counting, enumeration, kernel, series, verify
 from homcount.combinatorics import GrowingTable, binomial, factorial, integer, nonnegative, stirling2
 from homcount.model import MulticoloredModel, model_from_dict, model_to_dict
 from homcount.routes import ROUTES
@@ -95,7 +95,7 @@ def test_stirling2_examples():
 def test_stirling2_conventions():
     assert stirling2(5, 0) == 0
     assert stirling2(3, 4) == 0
-    with pytest.raises(ValueError, match=r"^stirling2 arguments must be nonnegative, got \(-1, 0\)$"):
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
         stirling2(-1, 0)
 
 
@@ -181,7 +181,7 @@ def test_integer_and_nonnegative():
         nonnegative(-1, "the noun")
 
 
-# every library entry point that takes a k, an order or a cap: (call, the noun its refusals name, and its
+# every library entry point that takes a k, an order, an index or a cap: (call, the noun its refusals name, and its
 # refusal of -1 where that is not "<noun> must be nonnegative, got -1")
 _INDEX_ENTRY_POINTS = {
     "k1": (counting.k1, "sequence index", None),
@@ -211,8 +211,14 @@ _INDEX_ENTRY_POINTS = {
     "egf_f": (series.egf_f, "series order", None),
     "egf_H": (series.egf_H, "series order", None),
     "egf_fubini": (series.egf_fubini, "series order", None),
+    "egf_counts": (lambda v: series.egf_counts(series.egf_H(3), v), "coefficient index", None),
+    "stirling2-n": (lambda v: stirling2(v, 0), "n", None),
+    "stirling2-m": (lambda v: stirling2(3, v), "m", None),
+    "approx_A": (asymptotics.approx_A, "k", None),
+    "ratio_report": (asymptotics.ratio_report, "k_max", None),
+    "bound_ratio_I": (asymptotics.bound_ratio_I, "sequence index", None),
     "run_checks-k_max": (lambda v: verify.run_checks(k_max=v, series_order=0), "k_max", None),
-    "run_checks-series_order": (lambda v: verify.run_checks(k_max=0, series_order=v), "series_order", None),
+    "run_checks-series_order": (lambda v: verify.run_checks(k_max=0, series_order=v), "series order", None),
     "contract_description": (lambda v: correspondence.contract_description((), v), "k", None),
     "contract_colored": (lambda v: correspondence.contract_colored((), v), "k", None),
     "model_from_dict": (lambda v: model_from_dict({"k": v, "adjacency_constrained": True, "points": []}), "k", None),
