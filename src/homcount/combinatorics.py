@@ -20,6 +20,10 @@ refused, never coerced), and nonnegative(value, noun) also refuses a value
 below 0. Every k, series order, coefficient index, cap and JSON integer of the
 package goes through one of them, stirling2's n and m and asymptotics' k
 included, and each refusal is a ValueError that names the input by its noun.
+The theory flag has the same kind of rule: boolean(value, noun) accepts only a
+bool, so 0, 1, None or "false" is refused, never read for its truth value. The
+model reader and writer, the walk (kernel.root_split) and the model streams
+check `constrained` with it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,14 @@ def nonnegative(value, noun: str) -> int:
         return value
     integer(value, noun)
     raise ValueError(f"{noun} must be nonnegative, got {value}")
+
+
+def boolean(value, noun: str) -> bool:
+    """`value` if it is a bool. An int, None and a string such as "false" are
+    refused with a ValueError naming `noun`, not read for their truth value."""
+    if type(value) is bool:
+        return value
+    raise ValueError(f"{noun} must be true or false, got {value!r}")
 
 
 class GrowingTable:

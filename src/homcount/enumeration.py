@@ -15,17 +15,21 @@ The same points are the streamed models' descriptions too: a description is a
 tuple of points over block kinds, and the finite kind of size i is color i.
 
 Models come out in bulk. The recursion yields batches, lazy iterators of
-models, and _stream flattens them with itertools.chain.from_iterable, so no
-Python frame runs for a model inside a batch. A prefix with at most
-BULK_COLORS = 3 free colors is one batch: _suffixes holds every run of points
-that completes it, in canonical order, per free-color mask, points remaining,
-whether an R-point may come next and the stream's flags, built once from
-_point_moves. The batch maps prefix.__add__ over that table and builds each
-model with tuple.__new__ from fields that are already normalized, which skips
-MulticoloredModel's constructor. A prefix with more free colors and one point
-to go is a batch of its R-moves and one of its S-moves. A surjective stream
-reads no move table for that last point: only the S-point of every free color
-can close the model.
+point tuples, and _stream, the one place where a stream builds a model,
+flattens them with itertools.chain.from_iterable and wraps each point tuple
+with tuple.__new__ (the fields are already normalized, so MulticoloredModel's
+constructor would have nothing to do): no Python frame runs for a model inside
+a batch. A prefix with at most BULK_COLORS = 3 free colors is one batch:
+_suffixes holds every run of points that completes it, in canonical order, per
+free-color mask, points remaining, whether an R-point may come next and the
+stream's flags, built once from _point_moves, and the batch maps
+prefix.__add__ over that table. The empty model is the table of length 0 over
+all k colors: ((),), or () in a surjective stream with colors to use. A prefix
+with more free colors and one point to go is a batch of its R-moves and one of
+its S-moves. A surjective stream reads no move table for that last point: only
+the S-point of every free color can close the model, so it is built directly
+instead of being read from a cached _suffixes table of every last point.
+The theory flag is a bool, checked by combinatorics.boolean like the walk's.
 
 Counting never materializes models: it goes through homcount.kernel, which
 walks the same choice tree and splits the surjective models into S-first and
@@ -49,6 +53,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from homcount import kernel
+from homcount.combinatorics import boolean
 from homcount.kernel import check_cap
 from homcount.model import MulticoloredModel, Point, RPoint, SPoint
 
@@ -101,43 +106,39 @@ def _suffixes(avail: int, remaining: int, r_ok: bool, after_r: bool, r_points: b
 def _stream(k: int, constrained: bool, surjective: bool, r_points: bool) -> Iterator[MulticoloredModel]:
     """Every model over colors 1..k, in canonical order, under root_split's flags:
     `constrained` forbids two R-points in a row, `r_points=False` forbids
-    R-points, `surjective` keeps only the models that use every color."""
-    return chain.from_iterable(_batches(k, constrained, surjective, r_points))
+    R-points, `surjective` keeps only the models that use every color. The one
+    place where a stream builds its models, each by tuple.__new__ from fields
+    that are already normalized."""
+    after_r = not boolean(constrained, "constrained") and r_points
+    points = chain.from_iterable(_batches(k, after_r, surjective, r_points))
+    return map(tuple.__new__, repeat(MulticoloredModel), zip(repeat(k), points, repeat(constrained)))
 
 
-def _batches(k: int, constrained: bool, surjective: bool, r_points: bool) -> Iterator[Iterable[MulticoloredModel]]:
-    """_stream's models, in canonical order, as a lazy series of batches."""
+def _batches(k: int, after_r: bool, surjective: bool, r_points: bool) -> Iterator[Iterable[tuple[Point, ...]]]:
+    """The point tuples of _stream's models, in canonical order, as a lazy series
+    of batches; `after_r` says whether an R-point may follow an R-point."""
     kernel.check_k(k)
-    after_r = r_points and not constrained
-    new = tuple.__new__
 
-    def models(prefix: tuple, suffixes: Iterable[tuple]) -> Iterator[MulticoloredModel]:
-        """The model of `prefix` followed by each suffix, built at C speed: the
-        points are already a tuple, so MulticoloredModel.__new__ would have
-        nothing to normalize."""
-        return map(new, repeat(MulticoloredModel), zip(repeat(k), map(prefix.__add__, suffixes), repeat(constrained)))
-
-    def extend(prefix: tuple, avail: int, remaining: int, r_ok: bool) -> Iterator[Iterable[MulticoloredModel]]:
-        """The models that extend `prefix` by exactly `remaining` >= 1 points."""
+    def extend(prefix: tuple, avail: int, remaining: int, r_ok: bool) -> Iterator[Iterable[tuple[Point, ...]]]:
+        """The point tuples that extend `prefix` by exactly `remaining` >= 1 points."""
         if avail.bit_count() <= BULK_COLORS:
-            yield models(prefix, _suffixes(avail, remaining, r_ok, after_r, r_points, surjective))
+            yield map(prefix.__add__, _suffixes(avail, remaining, r_ok, after_r, r_points, surjective))
             return
         if remaining == 1 and surjective:  # with more than BULK_COLORS free colors only their S-point closes the model
-            yield (new(MulticoloredModel, (k, prefix + (_s_point(avail),), constrained)),)
+            yield (prefix + (_s_point(avail),),)
             return
         r_moves, s_moves = _point_moves(avail)
         budget = avail.bit_count() - remaining + 1  # colors this point may consume
         for moves, r_next in ((r_moves if r_ok else (), after_r), (s_moves, r_points)):
             if remaining == 1:
-                yield models(prefix, zip(map(_point_of, moves)))  # zip of one iterable: each point in a 1-tuple
+                yield map(prefix.__add__, zip(map(_point_of, moves)))  # zip of one iterable: each point in a 1-tuple
             else:
                 for point, rest, size in moves:
                     if size <= budget:
                         yield from extend(prefix + (point,), rest, remaining - 1, r_next)
 
-    if not (surjective and k):
-        yield (MulticoloredModel(k, (), constrained),)
     full = (1 << k) - 1
+    yield _suffixes(full, 0, r_points, after_r, r_points, surjective)  # the empty model, unless colors are left unused
     for length in range(1, k + 1):  # no color reuse forces at most k points
         yield from extend((), full, length, r_points)
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 from functools import cache
 
-from homcount.combinatorics import nonnegative
+from homcount.combinatorics import boolean, nonnegative
 
 BACKEND = "python"  # the only backend; the benchmark records it with each run
 
@@ -145,9 +145,9 @@ def root_split(k: int, constrained: bool, surjective: bool, r_points: bool = Tru
     in the S-first slot.
     """
     check_k(k)
+    after_r = not boolean(constrained, "constrained") and r_points
     if k == 0:
         return 1, 0
-    after_r = r_points and not constrained
     inner = 0 if surjective else 1  # what a model with colors left counts
     one_after_r = inner + 1 + after_r  # the subtree of a one-color child reached by an R-point
     one_after_s = inner + 1 + r_points  # ... and by an S-point

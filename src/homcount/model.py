@@ -73,7 +73,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, NamedTuple, Union
 
-from homcount.combinatorics import integer, nonnegative
+from homcount.combinatorics import boolean, integer, nonnegative
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +291,6 @@ def canonical_key(m: MulticoloredModel) -> tuple:
 # JSON wire formats (bit-exact contracts; label sets are lists in stored order, never bitmasks)
 
 
-def _bool(value, what: str) -> bool:
-    if type(value) is bool:
-        return value
-    raise ValueError(f"{what} must be true or false, got {value!r}")
-
-
 def _list(value, what: str) -> list:
     if type(value) is list:
         return value
@@ -379,7 +373,7 @@ def model_to_dict(m: MulticoloredModel) -> dict:
     """The model's wire form. A k, a flag or a label that model_from_dict would
     refuse is refused here with the reader's message."""
     k = nonnegative(m.k, "k")
-    constrained = _bool(m.adjacency_constrained, "adjacency_constrained")
+    constrained = boolean(m.adjacency_constrained, "adjacency_constrained")
     points = _points_to_json(m.points, "R", "S", _COLORS)
     return {"k": k, "adjacency_constrained": constrained, "points": points}
 
@@ -387,7 +381,7 @@ def model_to_dict(m: MulticoloredModel) -> dict:
 def model_from_dict(data: dict) -> MulticoloredModel:
     try:
         k = nonnegative(data["k"], "k")
-        constrained = _bool(data["adjacency_constrained"], "adjacency_constrained")
+        constrained = boolean(data["adjacency_constrained"], "adjacency_constrained")
         points = _points_from_json(_list(data["points"], "points"), "R", "S", _COLORS)
     except (KeyError, TypeError) as exc:
         raise _malformed("model", exc) from exc

@@ -2,7 +2,6 @@
 
 import io
 import json
-import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -105,10 +104,9 @@ _DESCRIPTION_DOC = '{"segments": [{"type": "block", "kind": {"finite": 1}}]}'
     ],
     ids=["help", "count", "export", "count-brute-force", "series", "expand", "contract", "asymptotic", "verify"],
 )
-def test_commands_import_only_the_layers_they_run(argv, stdin, layers):
-    src = str(Path(counting.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _COLD_RUN, *argv], input=stdin, env=env, capture_output=True, text=True)
+def test_commands_import_only_the_layers_they_run(argv, stdin, layers, fresh_env):
+    out = subprocess.run([sys.executable, "-c", _COLD_RUN, *argv], input=stdin, env=fresh_env(), capture_output=True,
+                         text=True)
     code, *loaded = out.stderr.splitlines()[-1].split()
     assert code == "0"
     assert {layer for layer in _LAYERS if f"homcount.{layer}" in loaded} == layers
@@ -281,12 +279,10 @@ def test_closed_form_routes_refuse_above_their_bound(capsys):
         assert run(capsys, *argv) == (2, "", "closed-form not supported beyond k=100, got 101\n")
 
 
-def test_a_closed_stdout_ends_quietly():
+def test_a_closed_stdout_ends_quietly(fresh_env):
     # `homcount enumerate --k 5 | head -1`: about 0.5 MB of output, more than a pipe holds, and the reader
     # leaves after the first line
-    src = str(Path(counting.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "homcount", "enumerate", "--k", "5"], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "homcount", "enumerate", "--k", "5"], env=fresh_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline().startswith(b"{")
     proc.stdout.close()
@@ -563,16 +559,13 @@ def test_contract_out_of_range_kind(tmp_path, capsys):
     assert "finite-label range" in err
 
 
-def test_contract_names_the_same_kind_under_every_hash_seed():
+def test_contract_names_the_same_kind_under_every_hash_seed(fresh_env):
     # a shuffle's kinds are stored in canonical order, so the named kind must not follow the hash seed
-    src = str(Path(counting.__file__).resolve().parents[1])
     doc = json.dumps({"segments": [{"type": "shuffle", "kinds": ["zeta", "omega", "omega_star"]}]})
     errors = []
     for seed in range(4):
-        env = {**os.environ, "PYTHONHASHSEED": str(seed),
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-m", "homcount", "contract", "--k", "3"], input=doc, env=env,
-                             capture_output=True, text=True)
+        out = subprocess.run([sys.executable, "-m", "homcount", "contract", "--k", "3"], input=doc,
+                             env=fresh_env(PYTHONHASHSEED=str(seed)), capture_output=True, text=True)
         assert out.returncode == 2
         errors.append(out.stderr)
     assert errors == ["description not in finite-label range: kind omega with k=3\n"] * 4

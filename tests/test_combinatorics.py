@@ -200,6 +200,8 @@ _INDEX_ENTRY_POINTS = {
     "check_k": (kernel.check_k, "color count", None),
     "root_split": (lambda v: kernel.root_split(v, True, False), "color count", None),
     "count_models": (lambda v: kernel.count_models(v, True), "color count", None),
+    "count_surjective": (lambda v: kernel.count_surjective(v, True), "color count", None),
+    "count_ordered_set_partitions": (kernel.count_ordered_set_partitions, "color count", None),
     "brute_force_cap": (kernel.brute_force_cap, "cap", None),
     "check_cap-cap": (lambda v: kernel.check_cap(0, v), "cap", None),
     "check_cap-k": (lambda v: kernel.check_cap(v, None), "color count", None),
@@ -235,3 +237,24 @@ def test_every_index_is_an_int_at_least_zero(name):
     with pytest.raises(ValueError, match=f"^{re.escape(negative or f'{noun} must be nonnegative, got -1')}$"):
         call(-1)
     call(0)
+
+
+# every entry point that takes a theory flag reads it as a bool, never for its truth value
+_FLAG_ENTRY_POINTS = {
+    "enumerate_models": lambda v: next(enumeration.enumerate_models(2, v)),
+    "enumerate_surjective": lambda v: next(enumeration.enumerate_surjective(2, v)),
+    "root_split": lambda v: kernel.root_split(2, v, False),
+    "count_models": lambda v: kernel.count_models(2, v),
+    "count_surjective": lambda v: kernel.count_surjective(2, v),
+    "surjective_first_point_split": lambda v: enumeration.surjective_first_point_split(2, v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLAG_ENTRY_POINTS))
+def test_every_theory_flag_is_a_bool(name):
+    call = _FLAG_ENTRY_POINTS[name]
+    for value in (0, 1, None, "false"):  # refused by name, never read for its truth value
+        with pytest.raises(ValueError, match=f"^constrained must be true or false, got {re.escape(repr(value))}$"):
+            call(value)
+    call(True)
+    call(False)

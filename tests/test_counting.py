@@ -1,12 +1,10 @@
 """Recurrences and closed forms against the reference term lists and the stream oracle."""
 
-import os
 import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
-from pathlib import Path
 
 import pytest
 
@@ -179,7 +177,7 @@ def test_concurrent_growth_observes_correct_values(fresh_tables, naive):
         assert got == naive[name][k], (name, k)
 
 
-def test_table_growth_memory_stays_linear():
+def test_table_growth_memory_stays_linear(fresh_env):
     # O(k) ints of extra state per table: about 1.1 MB, where summing over a
     # memoized Pascal triangle peaked at about 14 MB
     code = (
@@ -189,9 +187,7 @@ def test_table_growth_memory_stays_linear():
         "count_I(600); count_L(300); fubini(300)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
-    src = str(Path(counting.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, check=True)
     assert int(out.stdout) < 4_000_000
 
 

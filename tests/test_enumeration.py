@@ -4,11 +4,9 @@ import functools
 import hashlib
 import itertools
 import json
-import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -209,7 +207,7 @@ def test_streams_refuse_k_beyond_the_bound_on_first_next():
             next(stream)
 
 
-def test_table_memory_stays_small():
+def test_table_memory_stays_small(fresh_env):
     # the move tables are all the walk and the stream keep between calls;
     # each point is built once per color or color mask and shared
     code = (
@@ -221,13 +219,11 @@ def test_table_memory_stays_small():
         "len(list(enumerate_models(6, True)))\n"
         "print(tracemalloc.get_traced_memory()[0])\n"
     )
-    assert int(_run_python(code)) < 2_000_000
+    assert int(_run_python(code, fresh_env())) < 2_000_000
 
 
-def _run_python(code):
-    """The stdout of `code` run in a fresh interpreter that imports this checkout's package."""
-    src = str(Path(kernel.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def _run_python(code, env):
+    """The stdout of `code` run in a fresh interpreter with the environment `env`."""
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
@@ -277,9 +273,13 @@ def test_suffix_tables_hold_shared_points_in_canonical_order():
     assert enumeration._suffixes(0b11, 2, True, False, True, False) == ((r1, s2), (r2, s1), (s1, r2), (s1, s2),
                                                                         (s2, r1), (s2, s1))
     assert enumeration._suffixes(0b111, 1, True, False, True, True) == ((SPoint({1, 2, 3}),),)
+    # length 0 is the empty model: there unless surjective with colors free, and always at mask 0 (k = 0)
+    assert enumeration._suffixes(0b11, 0, True, True, True, False) == ((),)
+    assert enumeration._suffixes(0b11, 0, True, True, True, True) == ()
+    assert enumeration._suffixes(0, 0, True, True, True, True) == ((),)
 
 
-def test_suffix_tables_stay_small_at_the_bound():
+def test_suffix_tables_stay_small_at_the_bound(fresh_env):
     # every table that a stream at k <= MAX_K can read, for all five streams: about 101k suffixes in 8.5 MB
     code = (
         "import tracemalloc\n"
@@ -296,7 +296,7 @@ def test_suffix_tables_stay_small_at_the_bound():
         "                    suffixes += len(table)\n"
         "print(suffixes, tracemalloc.get_traced_memory()[0])\n"
     )
-    suffixes, size = map(int, _run_python(code).split())
+    suffixes, size = map(int, _run_python(code, fresh_env()).split())
     assert suffixes == 101598 and size < 10_000_000
 
 
