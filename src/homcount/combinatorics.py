@@ -22,8 +22,8 @@ package goes through one of them, stirling2's n and m and asymptotics' k
 included, and each refusal is a ValueError that names the input by its noun.
 The theory flag has the same kind of rule: boolean(value, noun) accepts only a
 bool, so 0, 1, None or "false" is refused, never read for its truth value. The
-model reader and writer, the walk (kernel.root_split) and the model streams
-check `constrained` with it.
+model reader, writer and validator, the two expansions, the walk
+(kernel.root_split) and the model streams check the flag with it.
 """
 
 from __future__ import annotations

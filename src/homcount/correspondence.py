@@ -32,7 +32,7 @@ import itertools
 import math
 from typing import Union
 
-from homcount.combinatorics import nonnegative
+from homcount.combinatorics import boolean, nonnegative
 from homcount.model import (
     BlockKind,
     ColoredDescription,
@@ -69,7 +69,7 @@ def _require(report: ValidationReport, what: str) -> None:
 
 def expand_model(m: MulticoloredModel) -> OrderingDescription:
     """Constrained model -> ordering description (color i <-> block size i)."""
-    if not m.adjacency_constrained:
+    if not boolean(m.adjacency_constrained, "adjacency_constrained"):
         raise ValueError("expand_model expects an adjacency-constrained model")
     _require(validate_model(m), "model")
     return m.points
@@ -88,7 +88,7 @@ def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
 
 def expand_colored(m: MulticoloredModel) -> ColoredDescription:
     """Unconstrained model -> colored description: the same points, without k."""
-    if m.adjacency_constrained:
+    if boolean(m.adjacency_constrained, "adjacency_constrained"):
         raise ValueError("expand_colored expects an adjacency-unconstrained model")
     _require(validate_model(m), "model")
     return m.points

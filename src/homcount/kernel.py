@@ -11,21 +11,29 @@ parent instead of being visited, by the number of free colors a child leaves:
   1  (color c) the child unless surjective, S{c}, and R(c) when an R-point may
      come next;
   2  (colors c, d) the child unless surjective, S{c,d}, the one-color subtrees
-     of S{c} and S{d}, and those of R(c) and R(d) when an R-point may come next.
+     of S{c} and S{d}, and those of R(c) and R(d) when an R-point may come next;
+  3  (colors c, d, e) the child unless surjective, S{c,d,e}, the one-color
+     subtrees of its three two-color S-moves, the two-color subtrees of its
+     three one-color S-moves, and those of R(c), R(d) and R(e) when an R-point
+     may come next.
 
-Every model with three or more free colors is one recursion call, and the
-fold stops there on purpose. A two-color subtree is a fixed list of cases; a
-larger one is a walk of its own, and counting it from its number of free
-colors would be a memo keyed on that number, the binomial convolution of the
-recurrences restated. No count is memoized: these counts are the independent
-oracle for the recurrence formulas, so no model's count is taken from
-another model's.
+Every model with four or more free colors is one recursion call, and the fold
+stops there on purpose. Up to three it is a fixed list of cases, checked by
+hand, that shares no table with the recurrences. Folding by the number of free
+colors at every depth would be a memo keyed on that number, the binomial
+convolution of the recurrences restated; and a fold at four would leave the
+oracle hardly a walk at all (163 calls for count_models(7, True), k = 7 being
+the cap that verify walks to). At three, count_models(8, True) makes 26,072
+calls where a fold at two made 210,928, count_models(7, True) 1,668 and
+count_models(7, False) 2,340. No count is memoized: these counts are the
+independent oracle for the recurrence formulas, so no model's count is taken
+from another model's.
 
 The move tables hold one folded tuple per mask, whose deep entries are the
-children with three or more free colors, fewer than 3^k entries in all: at
-the bound MAX_K = 12 that is about 17.4 MB (tracemalloc over all 4,096
-masks), and a walk at k=12 could not finish anyway (I(10) is already about
-4.9e9 models).
+children with four or more free colors, fewer than 3^k entries in all: at the
+bound MAX_K = 12 that is about 13.7 MB (tracemalloc over all 4,096 masks),
+and a walk at k=12 could not finish anyway (I(10) is already about 4.9e9
+models).
 
 Two bounds guard the brute-force layer. check_k refuses k outside 0..MAX_K,
 where no move table could be built; check_cap refuses k beyond the brute-force
@@ -96,13 +104,13 @@ def check_cap(k: int, cap: int | None) -> None:
         raise BruteForceCapError(k, limit)
 
 
-def _fold(rests) -> tuple[int, int, int, tuple[int, ...]]:
-    """(children with no free color, with one, with two, the other children's masks)."""
-    small = [0, 0, 0]
+def _fold(rests) -> tuple[int, int, int, int, tuple[int, ...]]:
+    """(children with no free color, with one, with two, with three, the other children's masks)."""
+    small = [0, 0, 0, 0]
     deep = []
     for rest in rests:
         free = rest.bit_count()
-        if free < 3:
+        if free < 4:
             small[free] += 1
         else:
             deep.append(rest)
@@ -130,7 +138,7 @@ def _children(avail: int) -> tuple[list[int], list[int]]:
 @cache
 def _moves(avail: int) -> tuple:
     """The R-move and S-move children of a model whose free colors are `avail`,
-    folded: (r_done, r_one, r_two, r_deep, s_done, s_one, s_two, s_deep)."""
+    folded: (r_done, r_one, r_two, r_three, r_deep, s_done, s_one, s_two, s_three, s_deep)."""
     r_rests, s_rests = _children(avail)
     return _fold(r_rests) + _fold(s_rests)
 
@@ -154,16 +162,19 @@ def root_split(k: int, constrained: bool, surjective: bool, r_points: bool = Tru
     # a two-color child: itself, S of both colors, S of either, R of either when an R-point may follow
     two_after_r = inner + 1 + 2 * one_after_s + 2 * one_after_r * after_r
     two_after_s = inner + 1 + 2 * one_after_s + 2 * one_after_r * r_points
+    # a three-color child: itself, S of all three, S of any two or any one, R of any one when an R-point may follow
+    three_after_r = inner + 1 + 3 * one_after_s + 3 * two_after_s + 3 * two_after_r * after_r
+    three_after_s = inner + 1 + 3 * one_after_s + 3 * two_after_s + 3 * two_after_r * r_points
 
     def walk(avail: int, r_ok: bool) -> int:
         """This model plus every extension of it, given its free colors `avail`:
-        nonempty, and three or more whenever `r_ok` is set."""
-        _, _, r_two, r_deep, s_done, s_one, s_two, s_deep = _moves(avail)
-        total = inner + s_done + s_one * one_after_s + s_two * two_after_s
+        nonempty, and four or more whenever `r_ok` is set."""
+        _, _, _, r_three, r_deep, s_done, s_one, s_two, s_three, s_deep = _moves(avail)
+        total = inner + s_done + s_one * one_after_s + s_two * two_after_s + s_three * three_after_s
         for rest in s_deep:
             total += walk(rest, r_points)
-        if r_ok:  # a model walked with r_ok has three or more colors: each R-move leaves two or more
-            total += r_two * two_after_r
+        if r_ok:  # a model walked with r_ok has four or more colors: each R-move leaves three or more
+            total += r_three * three_after_r
             for rest in r_deep:
                 total += walk(rest, after_r)
         return total
@@ -172,8 +183,8 @@ def root_split(k: int, constrained: bool, surjective: bool, r_points: bool = Tru
     s_first = walk(full, False)  # the root with only its S-point extensions
     if not r_points:
         return s_first, 0
-    r_done, r_one, r_two, r_deep = _moves(full)[:4]
-    r_first = r_done + r_one * one_after_r + r_two * two_after_r
+    r_done, r_one, r_two, r_three, r_deep = _moves(full)[:5]
+    r_first = r_done + r_one * one_after_r + r_two * two_after_r + r_three * three_after_r
     return s_first, r_first + sum(walk(rest, after_r) for rest in r_deep)
 
 

@@ -201,13 +201,17 @@ def _walk(points, empty: str, reused: str, by_holders: dict, name) -> tuple[list
 
 
 def validate_model(m: MulticoloredModel) -> ValidationReport:
-    """Check every model invariant; violations are data, not failures."""
+    """Check every model invariant; violations are data, not failures. A k
+    that is no int >= 0 and a flag that is no bool are refused with
+    model_to_dict's ValueError instead: they are no model to report on."""
+    nonnegative(m.k, "k")
+    constrained = boolean(m.adjacency_constrained, "adjacency_constrained")
     out, first = _walk(m.points, "Tprime.2", "Tprime.7", {(True, True): "Tprime.5", (False, False): "Tprime.6"},
                        "color {}".format)
     for color, (i, _) in first.items():
         if type(color) is not int or not 1 <= color <= m.k:  # a bool or a block kind is no color
             out.append(Violation("Tprime.range", (i,), f"color {color} at {i} outside 1..{m.k}"))
-    if m.adjacency_constrained:
+    if constrained:
         for i in range(len(m.points) - 1):
             if isinstance(m.points[i], RPoint) and isinstance(m.points[i + 1], RPoint):
                 out.append(Violation("Tprime.3b", (i, i + 1), f"consecutive R-points at {i},{i + 1}"))

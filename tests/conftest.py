@@ -1,6 +1,8 @@
 """Fixtures shared by the test modules."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,3 +22,15 @@ def fresh_env():
         return {**os.environ, "PYTHONPATH": path, **extra}
 
     return env
+
+
+@pytest.fixture
+def run_python(fresh_env):
+    """run(code): the stdout of `code` run with -c in a fresh interpreter with fresh_env(); an exit other
+    than 0 fails the test."""
+
+    def run(code: str) -> str:
+        return subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True,
+                              check=True).stdout
+
+    return run

@@ -11,7 +11,7 @@ import pytest
 
 from homcount import asymptotics, correspondence, counting, enumeration, kernel, series, verify
 from homcount.combinatorics import GrowingTable, binomial, factorial, integer, nonnegative, stirling2
-from homcount.model import MulticoloredModel, model_from_dict, model_to_dict
+from homcount.model import MulticoloredModel, RPoint, model_from_dict, model_to_dict, validate_model
 from homcount.routes import ROUTES
 
 
@@ -225,6 +225,9 @@ _INDEX_ENTRY_POINTS = {
     "contract_colored": (lambda v: correspondence.contract_colored((), v), "k", None),
     "model_from_dict": (lambda v: model_from_dict({"k": v, "adjacency_constrained": True, "points": []}), "k", None),
     "model_to_dict": (lambda v: model_to_dict(MulticoloredModel(v)), "k", None),
+    "validate_model": (lambda v: validate_model(MulticoloredModel(v)), "k", None),
+    "expand_model": (lambda v: correspondence.expand_model(MulticoloredModel(v)), "k", None),
+    "expand_colored": (lambda v: correspondence.expand_colored(MulticoloredModel(v, (), False)), "k", None),
 }
 
 
@@ -239,22 +242,26 @@ def test_every_index_is_an_int_at_least_zero(name):
     call(0)
 
 
-# every entry point that takes a theory flag reads it as a bool, never for its truth value
+# every entry point that takes a theory flag reads it as a bool, never for its truth value: (call, the noun its
+# refusals name)
 _FLAG_ENTRY_POINTS = {
-    "enumerate_models": lambda v: next(enumeration.enumerate_models(2, v)),
-    "enumerate_surjective": lambda v: next(enumeration.enumerate_surjective(2, v)),
-    "root_split": lambda v: kernel.root_split(2, v, False),
-    "count_models": lambda v: kernel.count_models(2, v),
-    "count_surjective": lambda v: kernel.count_surjective(2, v),
-    "surjective_first_point_split": lambda v: enumeration.surjective_first_point_split(2, v),
+    "enumerate_models": (lambda v: next(enumeration.enumerate_models(2, v)), "constrained"),
+    "enumerate_surjective": (lambda v: next(enumeration.enumerate_surjective(2, v)), "constrained"),
+    "root_split": (lambda v: kernel.root_split(2, v, False), "constrained"),
+    "count_models": (lambda v: kernel.count_models(2, v), "constrained"),
+    "count_surjective": (lambda v: kernel.count_surjective(2, v), "constrained"),
+    "surjective_first_point_split": (lambda v: enumeration.surjective_first_point_split(2, v), "constrained"),
+    # two adjacent R-points: a flag read for its truth value would be judged constrained (Tprime.3b) or not
+    "validate_model": (lambda v: validate_model(MulticoloredModel(2, (RPoint(1), RPoint(2)), v)),
+                       "adjacency_constrained"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_FLAG_ENTRY_POINTS))
 def test_every_theory_flag_is_a_bool(name):
-    call = _FLAG_ENTRY_POINTS[name]
+    call, noun = _FLAG_ENTRY_POINTS[name]
     for value in (0, 1, None, "false"):  # refused by name, never read for its truth value
-        with pytest.raises(ValueError, match=f"^constrained must be true or false, got {re.escape(repr(value))}$"):
+        with pytest.raises(ValueError, match=f"^{noun} must be true or false, got {re.escape(repr(value))}$"):
             call(value)
     call(True)
     call(False)

@@ -54,6 +54,15 @@ def test_expand_rejects_invalid_model():
         expand_model(MulticoloredModel(2, [RPoint(1)], False))
 
 
+@pytest.mark.parametrize("constrained", [0, 1, None, "false"])
+def test_expansions_refuse_a_flag_that_is_no_bool(constrained):
+    # each branches on the flag, so a flag read for its truth value would pick a theory
+    message = f"^adjacency_constrained must be true or false, got {re.escape(repr(constrained))}$"
+    for expand in (expand_model, expand_colored):
+        with pytest.raises(ValueError, match=message):
+            expand(MulticoloredModel(1, [RPoint(1)], constrained))
+
+
 def test_contract_examples():
     assert contract_description(
         OrderingDescription([RPoint(2)]), 2

@@ -1,7 +1,6 @@
 """Recurrences and closed forms against the reference term lists and the stream oracle."""
 
 import random
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from math import comb
@@ -177,7 +176,7 @@ def test_concurrent_growth_observes_correct_values(fresh_tables, naive):
         assert got == naive[name][k], (name, k)
 
 
-def test_table_growth_memory_stays_linear(fresh_env):
+def test_table_growth_memory_stays_linear(run_python):
     # O(k) ints of extra state per table: about 1.1 MB, where summing over a
     # memoized Pascal triangle peaked at about 14 MB
     code = (
@@ -187,8 +186,7 @@ def test_table_growth_memory_stays_linear(fresh_env):
         "count_I(600); count_L(300); fubini(300)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 4_000_000
+    assert int(run_python(code)) < 4_000_000
 
 
 def test_negative_index_rejected():

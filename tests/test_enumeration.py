@@ -4,8 +4,6 @@ import functools
 import hashlib
 import itertools
 import json
-import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -207,7 +205,7 @@ def test_streams_refuse_k_beyond_the_bound_on_first_next():
             next(stream)
 
 
-def test_table_memory_stays_small(fresh_env):
+def test_table_memory_stays_small(run_python):
     # the move tables are all the walk and the stream keep between calls;
     # each point is built once per color or color mask and shared
     code = (
@@ -219,12 +217,7 @@ def test_table_memory_stays_small(fresh_env):
         "len(list(enumerate_models(6, True)))\n"
         "print(tracemalloc.get_traced_memory()[0])\n"
     )
-    assert int(_run_python(code, fresh_env())) < 2_000_000
-
-
-def _run_python(code, env):
-    """The stdout of `code` run in a fresh interpreter with the environment `env`."""
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert int(run_python(code)) < 2_000_000
 
 
 def reference_stream(k, constrained):
@@ -279,7 +272,7 @@ def test_suffix_tables_hold_shared_points_in_canonical_order():
     assert enumeration._suffixes(0, 0, True, True, True, True) == ((),)
 
 
-def test_suffix_tables_stay_small_at_the_bound(fresh_env):
+def test_suffix_tables_stay_small_at_the_bound(run_python):
     # every table that a stream at k <= MAX_K can read, for all five streams: about 101k suffixes in 8.5 MB
     code = (
         "import tracemalloc\n"
@@ -296,7 +289,7 @@ def test_suffix_tables_stay_small_at_the_bound(fresh_env):
         "                    suffixes += len(table)\n"
         "print(suffixes, tracemalloc.get_traced_memory()[0])\n"
     )
-    suffixes, size = map(int, _run_python(code, fresh_env()).split())
+    suffixes, size = map(int, run_python(code).split())
     assert suffixes == 101598 and size < 10_000_000
 
 

@@ -1,18 +1,22 @@
 """The brute-force walk: reference counts and the first-point split at its root."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from homcount import kernel
 
 
-def reference_split(k, constrained, surjective, r_points=True):
-    """The walk without move tables or folded subtrees: one call per model."""
+def reference_split(k, constrained, surjective, r_points=True, visited=None):
+    """The walk without move tables or folded subtrees: one call per model, whose free colors are
+    appended to `visited` when it is a list."""
     after_r = r_points and not constrained
     inner = 0 if surjective else 1
 
     def walk(avail, r_ok):
+        if visited is not None:
+            visited.append(avail)
         if not avail:
             return 1
         total = inner
@@ -58,13 +62,16 @@ def test_root_split_matches_call_per_model_walk(constrained, surjective, r_point
 
 
 @pytest.mark.parametrize("constrained,surjective,r_points", itertools.product([True, False], repeat=3))
-def test_walk_visits_only_models_with_three_or_more_free_colors(monkeypatch, constrained, surjective, r_points):
-    # children with at most two free colors are counted in their parent
+def test_walk_visits_only_models_with_four_or_more_free_colors(monkeypatch, constrained, surjective, r_points):
+    # children with at most three free colors are counted in their parent; below the root, the walk
+    # reads one move table per model with four or more, and no other
     asked = []
     moves = kernel._moves
     monkeypatch.setattr(kernel, "_moves", lambda avail: asked.append(avail) or moves(avail))
-    for k in range(7):
+    for k in range(8):
+        full, visited = (1 << k) - 1, []
         asked.clear()
         kernel.root_split(k, constrained, surjective, r_points)
-        assert all(avail.bit_count() >= 3 for avail in asked if avail != (1 << k) - 1), k
-        assert k < 4 or len(set(asked)) > 1, k  # the recorder sees the walk's calls
+        reference_split(k, constrained, surjective, r_points, visited)
+        deep = Counter(avail for avail in visited if avail != full and avail.bit_count() >= 4)
+        assert Counter(avail for avail in asked if avail != full) == deep, k

@@ -18,26 +18,22 @@ def test_unknown_name_is_an_attribute_error():
         homcount.no_such_name
 
 
-def _fresh(code, env):
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-
-
-def test_every_module_file_imports_from_the_package(fresh_env):
+def test_every_module_file_imports_from_the_package(run_python):
     names = sorted(path.stem for path in PACKAGE_DIR.glob("*.py") if not path.stem.startswith("__"))
     assert "counting" in names
-    assert _fresh(f"from homcount import {', '.join(names)}\nprint(counting.count_I(3))\n", fresh_env()) == "71\n"
+    assert run_python(f"from homcount import {', '.join(names)}\nprint(counting.count_I(3))\n") == "71\n"
 
 
-def test_main_is_never_an_attribute(fresh_env):
+def test_main_is_never_an_attribute(run_python):
     # stderr joins stdout, so a CLI run by importing __main__ (usage text, exit 2) would show or fail here
     code = ("import sys\nsys.stderr = sys.stdout\nimport homcount\n"
             "print(hasattr(homcount, '__main__'), hasattr(homcount, 'a.b'))\n")
-    assert _fresh(code, fresh_env()) == "False False\n"
+    assert run_python(code) == "False False\n"
 
 
-def test_bare_import_loads_no_submodule(fresh_env):
+def test_bare_import_loads_no_submodule(run_python):
     code = "import sys\nimport homcount\nprint(*sorted(m for m in sys.modules if m.startswith('homcount.')))\n"
-    assert _fresh(code, fresh_env()) == "\n"
+    assert run_python(code) == "\n"
 
 
 def test_sloc_refuses_a_directory_without_modules(tmp_path):
