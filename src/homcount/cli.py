@@ -4,8 +4,9 @@ Subcommands: count, enumerate, verify, export, series, asymptotic
 (constants | ratios), expand, contract. Long flag names only; all values are
 exact decimals (JSON exports carry them as strings, since they outgrow 53-bit
 floats early). Exit codes: 0 success, 1 check or runtime failure (a reader
-that closes stdout early among them), 2 usage error. HOMCOUNT_CAP overrides
-the default brute-force cap of 7.
+that closes stdout early among them), 2 usage error. `--cap` on count,
+enumerate and verify, the commands that walk, is the one way to raise or
+lower the brute-force cap of 7.
 
 `count` and `export` read routes.ROUTES, the one table of counted sequences:
 `--sequence` accepts exactly its keys, `count` checks the method against it

@@ -37,8 +37,9 @@ models).
 
 Two bounds guard the brute-force layer. check_k refuses k outside 0..MAX_K,
 where no move table could be built; check_cap refuses k beyond the brute-force
-cap (an explicit cap, else HOMCOUNT_CAP, else DEFAULT_CAP = 7), which every
-capped entry point applies before it walks. Both live here, so the CLI's
+cap (the cap it is given, else DEFAULT_CAP = 7), which every capped entry
+point applies before it walks. The cap has no other source: the CLI passes its
+--cap, a library caller its cap argument. Both live here, so the CLI's
 brute-force routes load no other layer; a k and a cap that are no int >= 0
 are refused by combinatorics.nonnegative, the package's one rule for them,
 and the CLI loads combinatorics anyway, through counting.
@@ -46,7 +47,6 @@ and the CLI loads combinatorics anyway, through counting.
 
 from __future__ import annotations
 
-import os
 from functools import cache
 
 from homcount.combinatorics import boolean, nonnegative
@@ -73,32 +73,20 @@ class BruteForceCapError(ValueError):
         self.cap = cap
         super().__init__(
             f"brute force at k={k} exceeds the cap of {cap}; "
-            f"raise it with --cap or HOMCOUNT_CAP if you really mean it"
+            f"raise it with --cap or the cap argument if you really mean it"
         )
 
 
 def brute_force_cap(override: int | None = None) -> int:
-    """`override`, else HOMCOUNT_CAP, else DEFAULT_CAP; an `override` or a
-    HOMCOUNT_CAP that is not a nonnegative integer is refused with a ValueError
-    naming it."""
-    if override is not None:
-        return nonnegative(override, "cap")
-    env = os.environ.get("HOMCOUNT_CAP")
-    if not env:
-        return DEFAULT_CAP
-    try:
-        cap = int(env)
-        if cap >= 0:
-            return cap
-    except ValueError:
-        pass
-    raise ValueError(f"HOMCOUNT_CAP must be a nonnegative integer, got {env!r}")
+    """`override`, else DEFAULT_CAP; an `override` that is no int >= 0 is
+    refused with a ValueError naming the cap."""
+    return DEFAULT_CAP if override is None else nonnegative(override, "cap")
 
 
 def check_cap(k: int, cap: int | None) -> None:
     """Refuse a brute-force request for k beyond the cap (`cap`, else
-    HOMCOUNT_CAP, else DEFAULT_CAP) with BruteForceCapError, after refusing a
-    cap, then a k, that is no int >= 0 with a ValueError."""
+    DEFAULT_CAP) with BruteForceCapError, after refusing a cap, then a k, that
+    is no int >= 0 with a ValueError."""
     limit = brute_force_cap(cap)
     if nonnegative(k, "color count") > limit:
         raise BruteForceCapError(k, limit)
@@ -150,13 +138,15 @@ def root_split(k: int, constrained: bool, surjective: bool, r_points: bool = Tru
     (a nonempty color set), using no color twice; `constrained` forbids two
     R-points in a row and `r_points=False` forbids R-points altogether. With
     `surjective`, only models using all k colors count. The empty model lands
-    in the S-first slot.
+    in the S-first slot. The three flags are bools, checked by
+    combinatorics.boolean like k is by check_k, before anything is counted.
     """
     check_k(k)
-    after_r = not boolean(constrained, "constrained") and r_points
+    constrained = boolean(constrained, "constrained")
+    inner = 0 if boolean(surjective, "surjective") else 1  # what a model with colors left counts
+    after_r = boolean(r_points, "r_points") and not constrained  # r_points first: `and` must not skip its check
     if k == 0:
         return 1, 0
-    inner = 0 if surjective else 1  # what a model with colors left counts
     one_after_r = inner + 1 + after_r  # the subtree of a one-color child reached by an R-point
     one_after_s = inner + 1 + r_points  # ... and by an S-point
     # a two-color child: itself, S of both colors, S of either, R of either when an R-point may follow

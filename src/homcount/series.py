@@ -26,7 +26,8 @@ those ints, and each output coefficient is one Fraction(num, da*db), reduced
 once. A Fraction product and sum per term would pay a gcd per term, and the
 O(n^3) Horner composition in egf_f made that the cost of the whole route.
 
-The three builders and verify.run_checks refuse an order that is no int in
+The three builders, the three primitives that take an order (ps_constant,
+ps_exp, ps_geometric) and verify.run_checks refuse an order that is no int in
 0..MAX_ORDER before building anything, through check_order. egf_counts takes
 its coefficient index under the same rule (combinatorics.nonnegative), and
 refuses one above the series' order.
@@ -64,16 +65,19 @@ class TruncatedSeries(NamedTuple("TruncatedSeries", [("coeffs", tuple[Fraction, 
 
 
 def ps_constant(value: Coefficient, order: int) -> TruncatedSeries:
+    check_order(order)
     return TruncatedSeries([Fraction(value)] + [Fraction(0)] * order)
 
 
 def ps_exp(order: int) -> TruncatedSeries:
     """Taylor series of e^x: coefficient j is 1/j!."""
+    check_order(order)
     return TruncatedSeries(Fraction(1, factorial(j)) for j in range(order + 1))
 
 
 def ps_geometric(order: int) -> TruncatedSeries:
     """1/(1-x): all coefficients 1."""
+    check_order(order)
     return TruncatedSeries([Fraction(1)] * (order + 1))
 
 
@@ -130,7 +134,7 @@ def _exp_line(sign: int, c0: int, c1: int, order: int) -> TruncatedSeries:
 
 def check_order(order: int) -> None:
     """Refuse an order that is no int in 0..MAX_ORDER with a ValueError; the
-    builders and verify.run_checks call it before building anything."""
+    builders, the primitives and verify.run_checks call it before building anything."""
     if nonnegative(order, "series order") > MAX_ORDER:
         raise ValueError(f"series not supported beyond order {MAX_ORDER}, got {order}")
 

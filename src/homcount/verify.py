@@ -80,20 +80,24 @@ def _pairs(first, second):
 
 def _bijection(indices: range):
     """contract(expand(m), k) == m for every model of both theories; contract validates
-    the description, and an invalid one is a broken round trip."""
+    the description, and an invalid one is a broken round trip. Each stream it drains
+    holds as many models as the recurrence counts (count_I or count_L)."""
     theories = (
-        ("constrained", True, correspondence.expand_model, correspondence.contract_description),
-        ("unconstrained", False, correspondence.expand_colored, correspondence.contract_colored),
+        ("constrained", True, counting.count_I, correspondence.expand_model, correspondence.contract_description),
+        ("unconstrained", False, counting.count_L, correspondence.expand_colored, correspondence.contract_colored),
     )
     for k in indices:
-        for theory, constrained, expand, contract in theories:
-            for m in enumeration.enumerate_models(k, constrained):
+        for theory, constrained, recurrence, expand, contract in theories:
+            streamed = 0
+            for streamed, m in enumerate(enumeration.enumerate_models(k, constrained), 1):
                 try:
                     back = contract(expand(m), k)
                 except correspondence.InvalidStructureError:
                     back = None
                 if back != m:
                     return False, f"{theory} round trip broke at k={k}: {m}"
+            if streamed != recurrence(k):
+                return False, f"{theory} stream at k={k} has {streamed} models, the recurrence counts {recurrence(k)}"
     return True, f"{_span(indices)}, both theories, exact"
 
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcount import correspondence, counting, verify
+from homcount import correspondence, counting, enumeration, verify
 from homcount.cli import main
+from homcount.enumeration import surjective_first_point_split
 from homcount.kernel import BruteForceCapError
 from homcount.model import ColoredDescription, OrderingDescription, SPoint
 from homcount.routes import ROUTES
@@ -62,7 +63,6 @@ def test_every_brute_force_route_applies_the_cap():
 def test_golden_commands_reproduce_their_bytes(monkeypatch):
     # the command pool recorded for the benchmark's cli-session workload, replayed in process
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
     commands = json.loads(GOLDEN_CLI.read_text())["commands"]
     assert len(commands) == 162
     mismatched = [
@@ -203,23 +203,18 @@ def test_count_cap_override(capsys):
     assert "14016774" in out
 
 
-@pytest.mark.parametrize("value", ["abc", "-3"])
-@pytest.mark.parametrize(
-    "argv", [["count", "--sequence", "I", "--k", "3", "--method", "brute-force"], ["verify", "--k-max", "2"]]
-)
-def test_malformed_cap_env_is_named(capsys, monkeypatch, argv, value):
+@pytest.mark.parametrize("value", ["0", "abc", "-3", "20"])
+def test_the_environment_sets_no_cap(capsys, monkeypatch, value):
+    # the cap comes from --cap or the cap argument only: an environment variable changes nothing
+    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    unset = run(capsys, "verify")
+    assert unset[0] == 0
     monkeypatch.setenv("HOMCOUNT_CAP", value)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"HOMCOUNT_CAP must be a nonnegative integer, got {value!r}\n"
-
-
-def test_count_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("HOMCOUNT_CAP", "2")
-    code, _, err = run(capsys, "count", "--sequence", "I", "--k", "3", "--method", "brute-force")
-    assert code == 2
-    assert "cap of 2" in err
+    assert run(capsys, "verify") == unset
+    code, out, err = run(capsys, "count", "--sequence", "I", "--k", "8", "--method", "brute-force")
+    assert (code, out) == (2, "")
+    assert "cap of 7" in err
+    assert surjective_first_point_split(4, True) == (counting.k1(4), counting.k2(4))
 
 
 def test_unknown_sequence_is_usage_error():
@@ -383,6 +378,22 @@ def test_round_trip_check_fails_on_an_invalid_expansion(monkeypatch):
             patch.setattr(correspondence, name, expand)
             results = {r.name: r for r in verify.run_checks(k_max=2)}
         assert not results["round-trip bijection"].ok, name
+
+
+def test_round_trip_check_counts_the_streams_it_drains(monkeypatch):
+    healthy = enumeration.enumerate_models
+
+    def short(k, constrained=True):  # drops the empty model from one stream
+        models = healthy(k, constrained)
+        if (k, constrained) == (3, False):
+            next(models)
+        return models
+
+    monkeypatch.setattr(enumeration, "enumerate_models", short)
+    failed = [r for r in verify.run_checks(k_max=4) if not r.ok]
+    assert failed == [
+        ("round-trip bijection", False, "unconstrained stream at k=3 has 94 models, the recurrence counts 95")
+    ]
 
 
 def test_export_b_file_exact_bytes(capsys):

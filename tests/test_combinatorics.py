@@ -210,6 +210,9 @@ _INDEX_ENTRY_POINTS = {
     "enumerate_ordered_set_partitions": (lambda v: next(enumeration.enumerate_ordered_set_partitions(v)),
                                          "color count", None),
     "surjective_first_point_split": (enumeration.surjective_first_point_split, "color count", None),
+    "ps_constant": (lambda v: series.ps_constant(1, v), "series order", None),
+    "ps_exp": (series.ps_exp, "series order", None),
+    "ps_geometric": (series.ps_geometric, "series order", None),
     "egf_f": (series.egf_f, "series order", None),
     "egf_H": (series.egf_H, "series order", None),
     "egf_fubini": (series.egf_fubini, "series order", None),
@@ -248,6 +251,9 @@ _FLAG_ENTRY_POINTS = {
     "enumerate_models": (lambda v: next(enumeration.enumerate_models(2, v)), "constrained"),
     "enumerate_surjective": (lambda v: next(enumeration.enumerate_surjective(2, v)), "constrained"),
     "root_split": (lambda v: kernel.root_split(2, v, False), "constrained"),
+    # constrained, so that an `and` after the theory flag would skip the r_points check
+    "root_split-surjective": (lambda v: kernel.root_split(2, True, v), "surjective"),
+    "root_split-r_points": (lambda v: kernel.root_split(2, True, False, v), "r_points"),
     "count_models": (lambda v: kernel.count_models(2, v), "constrained"),
     "count_surjective": (lambda v: kernel.count_surjective(2, v), "constrained"),
     "surjective_first_point_split": (lambda v: enumeration.surjective_first_point_split(2, v), "constrained"),

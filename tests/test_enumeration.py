@@ -100,12 +100,6 @@ def test_cap_refusal_names_the_cap():
     assert not isinstance(exc.value, BruteForceCapError)
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("HOMCOUNT_CAP", "3")
-    with pytest.raises(BruteForceCapError, match="cap of 3"):
-        surjective_first_point_split(4, True)
-
-
 def test_surjective_examples():
     surj1 = list(enumerate_surjective(1, True))
     assert surj1 == [

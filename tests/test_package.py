@@ -40,5 +40,8 @@ def test_sloc_refuses_a_directory_without_modules(tmp_path):
     # a moved package would otherwise count as "total 0" and pass the code-lines step
     run = subprocess.run([sys.executable, str(SLOC), str(tmp_path)], capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (2, "", f"no .py file in {tmp_path}\n")
+    # a call without the directory is a usage error too, not an IndexError
+    run = subprocess.run([sys.executable, str(SLOC)], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "usage: python tools/sloc.py <package directory>\n")
     run = subprocess.run([sys.executable, str(SLOC), str(PACKAGE_DIR)], capture_output=True, text=True, check=True)
     assert run.stdout.splitlines()[-1].startswith("total ")

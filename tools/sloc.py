@@ -14,7 +14,11 @@ def code_lines(path):
         if tok.type not in skip:
             lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - doc)
-# python3 sloc.py src/homcount: one "module count" line per file, then the total; exit 2 if there is no .py file
+# python3 sloc.py src/homcount: one "module count" line per file, then the total; exit 2 without a directory
+# argument or if there is no .py file
+if len(sys.argv) != 2:
+    print("usage: python tools/sloc.py <package directory>", file=sys.stderr)
+    sys.exit(2)
 counts = {p.stem: code_lines(p) for p in sorted(pathlib.Path(sys.argv[1]).glob("*.py"))}
 if not counts:
     print(f"no .py file in {sys.argv[1]}", file=sys.stderr)
