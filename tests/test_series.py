@@ -53,7 +53,8 @@ def test_mul_matches_convolution_oracle():
 
 
 def test_mul_is_exact_on_unrelated_denominators():
-    # ps_mul works over one common denominator per operand; the oracle multiplies Fractions term by term
+    # ps_mul convolves integer EGF numerators over one denominator per operand; the oracle multiplies Fractions
+    # term by term
     rng = random.Random(2024)
     denominators = [1, 2, 7, 11, 12, 13, 5040]
     for _ in range(200):
@@ -79,6 +80,7 @@ def test_mul_edge_cases():
 
 
 def test_mul_at_order_60_where_the_lcm_is_60_factorial():
+    # the lcm of the Fraction denominators is 60!; as EGF numerators both operands are integers
     e, f = ps_exp(60), egf_f(60)
     assert list(ps_mul(e, f).coeffs) == binomial_convolution_oracle(list(e.coeffs), list(f.coeffs), 60)
 
@@ -115,6 +117,49 @@ def test_reciprocal_examples():
     assert halves.coeffs == (frac(1, 2), frac(0), frac(0))
     with pytest.raises(ValueError, match="not invertible"):
         ps_reciprocal(TruncatedSeries([0, 1]))
+
+
+def reciprocal_oracle(a):
+    """Fraction recurrence b_j = -(a_1*b_(j-1) + ... + a_j*b_0) / a_0, independent of ps_reciprocal."""
+    b = [1 / a[0]]
+    for j in range(1, len(a)):
+        b.append(-sum(a[i] * b[j - i] for i in range(1, j + 1)) / a[0])
+    return b
+
+
+def compose_oracle(outer, inner):
+    """Fraction Horner loop over binomial_convolution_oracle, independent of ps_compose."""
+    order = min(len(outer), len(inner)) - 1
+    result = [outer[order]] + [Fraction(0)] * order
+    for j in range(order - 1, -1, -1):
+        result = binomial_convolution_oracle(result, inner, order)
+        result[0] += outer[j]
+    return result
+
+
+def random_series(rng, constant, length):
+    denominators = [1, 2, 7, 11, 5040]
+    return [constant] + [Fraction(rng.randint(-30, 30), rng.choice(denominators)) for _ in range(length - 1)]
+
+
+def test_reciprocal_matches_its_fraction_oracle():
+    # constant terms that are not 1, negative or not integers: a scaling error that ps_mul and ps_reciprocal
+    # share cancels in a * (1/a) == 1, but shows here
+    rng = random.Random(4242)
+    for constant in (frac(1), frac(-1), frac(3, 7), frac(-5, 3), frac(2), frac(-11, 5040)):
+        for length in (1, 2, 5, 13):
+            a = random_series(rng, constant, length)
+            assert list(ps_reciprocal(TruncatedSeries(a)).coeffs) == reciprocal_oracle(a)
+
+
+def test_compose_matches_its_fraction_oracle():
+    # outer coefficients that are not integers, and inner coefficients over unrelated denominators
+    rng = random.Random(5151)
+    for _ in range(60):
+        outer = random_series(rng, Fraction(rng.randint(-9, 9), rng.choice([1, 3, 7])), rng.randint(1, 10))
+        inner = random_series(rng, frac(0), rng.randint(1, 10))
+        got = ps_compose(TruncatedSeries(outer), TruncatedSeries(inner))
+        assert list(got.coeffs) == compose_oracle(outer, inner)
 
 
 def test_reciprocal_property_randomized():
@@ -165,26 +210,26 @@ def test_egf_counts_errors():
 
 
 def test_H_counts_match_recurrence():
-    H = egf_H(N)
-    for k in range(N + 1):
+    H = egf_H(MAX_ORDER)
+    for k in range(MAX_ORDER + 1):
         assert egf_counts(H, k) == count_L(k)
 
 
 def test_f_counts_match_recurrence():
-    f = egf_f(60)  # beyond N: the lcm inside ps_mul reaches 60!
-    for k in range(61):
+    f = egf_f(MAX_ORDER)  # the largest order the CLI accepts, as for H and Fubini
+    for k in range(MAX_ORDER + 1):
         assert egf_counts(f, k) == j_surjective(k)
 
 
 def test_fubini_counts_match_recurrence():
-    h = egf_fubini(N)
-    for k in range(N + 1):
+    h = egf_fubini(MAX_ORDER)
+    for k in range(MAX_ORDER + 1):
         assert egf_counts(h, k) == fubini(k)
 
 
 def test_H_is_exp_times_f():
     # reciprocal route (H) against composition route (f)
-    for order in (0, 1, 5, 12, N, 40):
+    for order in (0, 1, 5, 12, N, 40, MAX_ORDER):
         assert egf_H(order) == ps_mul(ps_exp(order), egf_f(order))
 
 
