@@ -8,10 +8,14 @@ S-point with color set A a shuffle of the blocks sized by A. An unconstrained
 model expands into a colored description, which is also the model's own tuple
 of points (no adjacency rules, no k). Both expansions are the identity on
 points after validation, and contraction is the exact inverse: validation, the
-range rule, and the model of the same points. Label sets are stored in
-canonical order (kinds by kind_key, colors ascending), so contraction names the
-first out-of-range label in points order and then in stored order, and the
-message is the same on every run; a kind is named in its wire encoding.
+range rule, and the model of the same points. Contraction decides, then
+diagnoses, as the validators do: model._decide, bounded by k, checks validity
+and the range on one flat label list, and a description it admits becomes the
+model by tuple.__new__. Only a refused one is validated and range-checked to
+name what is wrong. Label sets are stored in canonical order (kinds by
+kind_key, colors ascending), so contraction names the first out-of-range label
+in points order and then in stored order, and the message is the same on every
+run; a kind is named in its wire encoding.
 
 classify_cnm decides whether a description stays homogeneous when the language
 keeps predicates for n successors, m predecessors, and distances below n+m:
@@ -42,6 +46,7 @@ from homcount.model import (
     OMEGA_STAR,
     OrderingDescription,
     ValidationReport,
+    _decide,
     kind_to_json,
     validate_colored_description,
     validate_description,
@@ -78,12 +83,13 @@ def expand_model(m: MulticoloredModel) -> OrderingDescription:
 def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_model; every kind must be finite with size <= k."""
     nonnegative(k, "k")
-    _require(validate_description(d), "description")
-    for p in d:
-        for kind in p.colors:
-            if type(kind) is not int or kind > k:
-                raise ValueError(f"description not in finite-label range: kind {kind_to_json(kind)} with k={k}")
-    return MulticoloredModel(k, d, True)
+    if not _decide(d, False, 1, k):
+        _require(validate_description(d), "description")
+        for p in d:
+            for kind in p.colors:
+                if type(kind) is not int or kind > k:
+                    raise ValueError(f"description not in finite-label range: kind {kind_to_json(kind)} with k={k}")
+    return tuple.__new__(MulticoloredModel, (k, tuple(d), True))
 
 
 def expand_colored(m: MulticoloredModel) -> ColoredDescription:
@@ -97,12 +103,13 @@ def expand_colored(m: MulticoloredModel) -> ColoredDescription:
 def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
     """Exact inverse of expand_colored."""
     nonnegative(k, "k")
-    _require(validate_colored_description(d), "colored description")
-    for p in d:
-        for c in p.colors:
-            if not 1 <= c <= k:  # validation refused every label that is no int
-                raise ValueError(f"color {c} outside 1..{k}")
-    return MulticoloredModel(k, d, adjacency_constrained=False)
+    if not _decide(d, True, 1, k):
+        _require(validate_colored_description(d), "colored description")
+        for p in d:
+            for c in p.colors:
+                if not 1 <= c <= k:  # validation refused every label that is no int
+                    raise ValueError(f"color {c} outside 1..{k}")
+    return tuple.__new__(MulticoloredModel, (k, tuple(d), False))
 
 
 def _check_extended_nat(name: str, value: ExtendedNat) -> None:

@@ -25,13 +25,18 @@ One point codec writes and reads all three wire formats. They differ in their
 type tags ("R"/"S" for models, "block"/"shuffle" for descriptions of both
 kinds), their label field ("color" or "kind"; a set's field adds "s") and
 their label codec: a color is a JSON integer, a kind is {"finite": size} or
-the name of an infinite kind.
+the name of an infinite kind. A codec takes a point's whole label sequence in
+one call and handles the common label inline, without a Python call per
+label: the color codec tests ``type(x) is int``, the kind reader takes a
+one-key {"finite": size} dict with an int size. Any other label goes through
+combinatorics.integer or kind_from_json, which refuse it with the reader's
+message.
 
 An S-point stores its label set once, as a tuple in kind_key order (colors
 ascending, then omega, omega*, zeta, then any label that is no block kind, by
 type name and repr), so every reader walks a set in the same order under every
 hash seed and a set of any labels sorts; ``SPoint.__new__`` is the one place
-that sorts.
+that sorts, and a set of ints (every color set) sorts without the key.
 
 Points, models, violations and reports are named tuples: immutable and
 hashable, with reprs that name their type and fields. Equality is the tuple's,
@@ -41,6 +46,16 @@ has len and iteration; an R-point's label is never a tuple, so
 normalizing constructor (the label set sorted and deduplicated, the points
 made a tuple); code that already holds normalized fields may build a value
 with ``tuple.__new__`` and skip it.
+
+Validators decide, then diagnose. Each first decides validity (_decide): one
+pass over the points gathers their labels in a flat list and stops at an
+empty set, at a point that is no RPoint or SPoint, and at two R-points in a
+row where they are forbidden; then set, map, min and max check in C that the
+labels are distinct ints in range. A valid input returns one shared empty
+report. The description decision admits finite kinds only, so a description
+with an infinite kind is always walked. Only an input that the decision
+refuses is walked to name what is wrong, so _walk and the per-format rules
+after it build every violation.
 
 Validators return violation lists rather than raising. One walk over the
 segments checks the two axioms that every format shares: no set is empty
@@ -94,6 +109,7 @@ BlockKind = Union[int, InfiniteKind]  # a finite kind is its size
 
 
 _INFINITE_RANK = {OMEGA: 0, OMEGA_STAR: 1, ZETA: 2}
+_INT = frozenset([int])  # _INT.issuperset(map(type, labels)): every label is an int, decided in C
 
 
 def kind_key(kind) -> tuple:
@@ -130,7 +146,10 @@ class SPoint(NamedTuple("SPoint", [("colors", tuple[BlockKind, ...])])):
     __slots__ = ()
 
     def __new__(cls, colors: Iterable[BlockKind]):
-        return tuple.__new__(cls, (tuple(sorted(set(colors), key=kind_key)),))
+        labels = set(colors)
+        # kind_key orders ints as they order themselves, so a set of ints (every color set) sorts without it
+        return tuple.__new__(cls, (tuple(sorted(labels) if _INT.issuperset(map(type, labels)) else
+                                         sorted(labels, key=kind_key)),))
 
 
 Point = Union[RPoint, SPoint]
@@ -174,6 +193,38 @@ class ValidationReport(NamedTuple):
         return {v.axiom for v in self.violations}
 
 
+_VALID = ValidationReport()  # the report of every input that _decide admits, shared
+
+
+def _decide(points, consecutive_r: bool, low: int | None, high: int | None) -> bool:
+    """Whether `points` are valid with distinct int labels in low..high (None:
+    unbounded), decided without a Python call per label: one pass over the
+    points gathers their labels in a flat list and stops at an empty set, at a
+    point that is no RPoint or SPoint, and at an R-point after an R-point
+    unless `consecutive_r`; set, map, min and max decide the rest. False says
+    only that the validator must walk the points to report what is wrong."""
+    if not isinstance(points, (tuple, list)):  # a one-shot iterator is left to the walk, which reads it once
+        return False
+    labels: list = []
+    single = False
+    for p in points:
+        if type(p) is RPoint:
+            if single and not consecutive_r:
+                return False
+            labels.append(p.color)
+            single = True
+        elif type(p) is SPoint and p.colors:
+            labels += p.colors
+            single = False
+        else:
+            return False
+    if not labels:
+        return True
+    # ints first, so that set() meets no unhashable label
+    return (_INT.issuperset(map(type, labels)) and len(set(labels)) == len(labels)
+            and (low is None or min(labels) >= low) and (high is None or max(labels) <= high))
+
+
 def _walk(points, empty: str, reused: str, by_holders: dict, name) -> tuple[list[Violation], dict]:
     """The two axioms every format shares, walked once: no set is empty
     (`empty`) and no label is in two points. A reused label breaks the axiom
@@ -204,8 +255,10 @@ def validate_model(m: MulticoloredModel) -> ValidationReport:
     """Check every model invariant; violations are data, not failures. A k
     that is no int >= 0 and a flag that is no bool are refused with
     model_to_dict's ValueError instead: they are no model to report on."""
-    nonnegative(m.k, "k")
+    k = nonnegative(m.k, "k")
     constrained = boolean(m.adjacency_constrained, "adjacency_constrained")
+    if _decide(m.points, not constrained, 1, k):
+        return _VALID
     out, first = _walk(m.points, "Tprime.2", "Tprime.7", {(True, True): "Tprime.5", (False, False): "Tprime.6"},
                        "color {}".format)
     for color, (i, _) in first.items():
@@ -241,6 +294,8 @@ def _kind_name(label) -> str:
 
 
 def validate_description(d: OrderingDescription) -> ValidationReport:
+    if _decide(d, False, 1, None):  # finite kinds only: two adjacent finite singletons glue (T.4)
+        return _VALID
     out, first = _walk(d, "T.shuffle_empty", "T.disjoint", {}, _kind_name)
     for kind, (i, _) in first.items():
         if type(kind) is int and kind < 1:
@@ -260,6 +315,8 @@ def validate_description(d: OrderingDescription) -> ValidationReport:
 def validate_colored_description(d: ColoredDescription) -> ValidationReport:
     """Colored descriptions only require nonempty shuffles, globally unique
     colors and labels that are colors: ints, not bools or block kinds."""
+    if _decide(d, True, None, None):
+        return _VALID
     out, first = _walk(d, "T.shuffle_empty", "T.disjoint", {}, "color {}".format)
     for color, (i, _) in first.items():
         if type(color) is not int:
@@ -319,14 +376,32 @@ def kind_from_json(data) -> BlockKind:
     raise ValueError(f"unknown block kind encoding {data!r}")
 
 
+def _ints(labels, noun: str) -> list:
+    """The color codec, both ways: a color is a JSON integer, written and read
+    as is. An int is tested inline; any other label goes to
+    combinatorics.integer, which refuses it (JSON's booleans load as bool and
+    its floats as float, so both are refused rather than coerced)."""
+    return [x if type(x) is int else integer(x, noun) for x in labels]
+
+
+def _kinds_to_json(labels, noun: str) -> list:
+    return [{"finite": x} if type(x) is int else kind_to_json(x) for x in labels]
+
+
+def _kinds_from_json(values: list, noun: str) -> list:
+    """A {"finite": size} with an int size is read inline; every other value,
+    a refused one included, goes through kind_from_json."""
+    return [x["finite"] if type(x) is dict and len(x) == 1 and type(x.get("finite")) is int else kind_from_json(x)
+            for x in values]
+
+
 # A label codec: the wire field of one label (a set's field adds "s"), the
-# label's encoder and its decoder. Each is given the value and the noun that
-# an error names it by. The encoder refuses what the decoder would refuse, so
-# no writer emits a document that its reader refuses; a color is written as
-# is once combinatorics.integer has checked it (JSON's booleans load as bool
-# and its floats as float, so both are refused rather than coerced).
-_COLORS = ("color", integer, integer)
-_KINDS = ("kind", lambda kind, what: kind_to_json(kind), lambda data, what: kind_from_json(data))
+# encoder and the decoder of a sequence of labels. Each is given the labels
+# and the noun that an error names them by, and handles the common label
+# (an int) without a Python call. The encoder refuses what the decoder would
+# refuse, so no writer emits a document that its reader refuses.
+_COLORS = ("color", _ints, _ints)
+_KINDS = ("kind", _kinds_to_json, _kinds_from_json)
 
 
 def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str, codec: tuple) -> list:
@@ -336,12 +411,14 @@ def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str, codec: tupl
     field, write, _ = codec
     fields = field + "s"
     in_set = f"a {field} in {fields}"
+    bare = write is _ints  # an int color is its own wire form: an R-point's is written inline
     out = []
     for p in points:
         if type(p) is RPoint:  # cheaper than isinstance; this runs once per point written
-            out.append({"type": r_tag, field: write(p.color, field)})
+            x = p.color
+            out.append({"type": r_tag, field: x if bare and type(x) is int else write((x,), field)[0]})
         else:
-            out.append({"type": s_tag, fields: [write(x, in_set) for x in p.colors]})
+            out.append({"type": s_tag, fields: write(p.colors, in_set)})
     return out
 
 
@@ -351,14 +428,16 @@ def _points_from_json(entries: list, r_tag: str, s_tag: str, codec: tuple) -> tu
     field, _, read = codec
     fields = field + "s"
     in_set = f"a {field} in {fields}"
+    bare = read is _ints  # an int color is its own wire form: an R-point's is read inline
     points: list[Point] = []
     for entry in entries:
         tag = entry["type"]
         if tag == r_tag:
-            points.append(RPoint(read(entry[field], field)))
+            x = entry[field]
+            points.append(tuple.__new__(RPoint, (x if bare and type(x) is int else read([x], field)[0],)))
         elif tag == s_tag:
             listed = _list(entry[fields], fields)
-            point = SPoint([read(x, in_set) for x in listed])
+            point = SPoint(read(listed, in_set))
             if len(point.colors) != len(listed):
                 raise ValueError(f"{fields} repeats an entry: {listed!r}")
             points.append(point)
@@ -389,7 +468,7 @@ def model_from_dict(data: dict) -> MulticoloredModel:
         points = _points_from_json(_list(data["points"], "points"), "R", "S", _COLORS)
     except (KeyError, TypeError) as exc:
         raise _malformed("model", exc) from exc
-    return MulticoloredModel(k, points, constrained)
+    return tuple.__new__(MulticoloredModel, (k, points, constrained))  # the reader's points are a tuple
 
 
 def description_to_dict(d: OrderingDescription) -> dict:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcount import correspondence, counting, enumeration, verify
+from homcount import correspondence, counting, enumeration, series, verify
 from homcount.cli import main
 from homcount.enumeration import surjective_first_point_split
 from homcount.kernel import BruteForceCapError
@@ -366,6 +366,18 @@ def test_verify_catches_a_corrupted_route(monkeypatch, seq, method):
 
     monkeypatch.setitem(ROUTES[seq][1], method, corrupted)
     assert not all(r.ok for r in verify.run_checks(k_max=4, series_order=8, cap=4))
+
+
+def test_series_ring_check_inverts_a_constant_term_other_than_one(monkeypatch):
+    # a reciprocal that takes |x_0| is right on every counting EGF, whose constant term is 1
+    healthy = series.ps_reciprocal
+
+    def unsigned(a):
+        return healthy(series.TruncatedSeries([abs(a.coeffs[0]), *a.coeffs[1:]]))
+
+    monkeypatch.setattr(series, "ps_reciprocal", unsigned)
+    results = {r.name: r for r in verify.run_checks(k_max=4, series_order=8, cap=4)}
+    assert [name for name, r in results.items() if not r.ok] == ["series ring identities"]
 
 
 def test_round_trip_check_fails_on_an_invalid_expansion(monkeypatch):

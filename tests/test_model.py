@@ -7,6 +7,9 @@ import tracemalloc
 
 import pytest
 
+from homcount import correspondence, model
+from homcount.correspondence import classify_cnm, contract_colored, contract_description, expand_colored, expand_model
+from homcount.enumeration import enumerate_models
 from homcount.model import (
     ColoredDescription,
     MulticoloredModel,
@@ -151,6 +154,110 @@ def test_description_validator_matches_naive_axiom_checker():
         for segs in itertools.product(segments, repeat=n):
             d = OrderingDescription(segs)
             assert validate_description(d).axioms() == naive_description_check(segs), d
+
+
+def outcome(call, *args):
+    """What call(*args) gives: its value, or the type and the text of what it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def decided_and_walked(cases):
+    """The (call, args) cases whose outcome differs from the diagnosis walk's. Each case runs once with every
+    decision refused, as every input ran before the decision pass, and again as the package runs it where a
+    decision it asked for admits its input; where none admits, the package walks as well."""
+    decide, asked = model._decide, []
+
+    def refuse(*args):
+        asked.append(args)
+        return False
+
+    walked = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_decide", refuse)
+        patch.setattr(correspondence, "_decide", refuse)
+        for call, args in cases:
+            asked.clear()
+            walked.append((outcome(call, *args), any(decide(*request) for request in asked)))
+    return [(call.__name__, args, was, outcome(call, *args)) for (call, args), (was, admitted) in zip(cases, walked)
+            if admitted and outcome(call, *args) != was]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_decision_and_walk_give_equal_reports(k):
+    # the point sequences of test_validator_matches_naive_axiom_checker: full reports (axioms, positions and
+    # messages) and contractions agree, whichever path an input takes
+    cases = []
+    for points in all_point_sequences(k, 3):
+        cases += [(validate_model, (MulticoloredModel(k, points, True),)),
+                  (validate_model, (MulticoloredModel(k, points, False),)),
+                  (validate_colored_description, (points,)), (contract_colored, (points, k))]
+    assert decided_and_walked(cases) == []
+
+
+def test_description_decision_and_walk_give_equal_reports():
+    # the segment sequences of test_description_validator_matches_naive_axiom_checker
+    kinds = [0, 1, 2, OMEGA, OMEGA_STAR, ZETA]
+    segments = [RPoint(kind) for kind in kinds] + [
+        SPoint(combo) for size in range(len(kinds) + 1) for combo in itertools.combinations(kinds, size)
+    ]
+    cases = [(call, (segs, *extra)) for n in range(3) for segs in itertools.product(segments, repeat=n)
+             for call, extra in [(validate_description, ()), (contract_description, (2,))]]
+    assert decided_and_walked(cases) == []
+
+
+# labels and shapes that the naive oracles skip: a bool beside its int, a float, an infinite kind as a color, an
+# unhashable label, a plain tuple as a point and a list of points
+ODD_POINTS = [
+    (RPoint(1), SPoint([True, 2])), (RPoint(True), RPoint(1)), (SPoint([1]), RPoint(True)),
+    (RPoint(1.0),), (SPoint([1.0, 2]),), (RPoint(1), SPoint([1.0])),
+    (RPoint(OMEGA),), (SPoint([1, OMEGA]),), (RPoint(2), RPoint(OMEGA)),
+    (RPoint([1]),), (RPoint(1), RPoint([1])), (SPoint([1]), RPoint([1])),
+    ((1,),), (RPoint(1), (2,)), (SPoint([1]), (1, 2)),
+    [RPoint(1), SPoint([2])], [RPoint(1), RPoint(2)], [RPoint(1), RPoint(1)], [SPoint([1]), SPoint([])],
+]
+
+
+@pytest.mark.parametrize("points", ODD_POINTS)
+def test_decision_and_walk_agree_on_labels_the_oracles_skip(points):
+    cases = [(validate_description, (points,)), (validate_colored_description, (points,)),
+             (contract_description, (points, 3)), (contract_colored, (points, 3)), (classify_cnm, (points, 1, 1))]
+    for constrained in (True, False):
+        m = tuple.__new__(MulticoloredModel, (3, points, constrained))  # keeps a list of points a list
+        cases += [(validate_model, (m,)), (expand_model if constrained else expand_colored, (m,))]
+    assert decided_and_walked(cases) == []
+
+
+def test_walk_diagnoses_what_the_decision_refuses():
+    # the refused inputs reach the walk, which reports or raises as it always did
+    assert outcome(validate_model, MulticoloredModel(3, [RPoint([1])], False)) == (TypeError, "unhashable type: 'list'")
+    assert outcome(validate_colored_description, ((1,),)) == (
+        AttributeError, "'tuple' object has no attribute 'colors'"
+    )
+    assert validate_model(MulticoloredModel(3, [RPoint(1), SPoint([True, 2])], False)).violations == (
+        ("Tprime.7", (0, 1), "color True reused at 0 and 1"),
+    )
+    assert validate_description([RPoint(1), RPoint(1)]).axioms() == {"T.4", "T.disjoint"}
+    # a one-shot iterator is read once, by the walk: the decision would have used up what the walk must report on
+    assert validate_colored_description(iter([SPoint([]), RPoint(1)])).axioms() == {"T.shuffle_empty"}
+    assert validate_model(tuple.__new__(MulticoloredModel, (0, iter([RPoint(1)]), False))).axioms() == {"Tprime.range"}
+    assert contract_colored([RPoint(1), SPoint([2])], 2) == MulticoloredModel(2, [RPoint(1), SPoint([2])], False)
+
+
+def test_valid_inputs_are_decided_without_the_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("a valid input was walked")
+
+    monkeypatch.setattr(model, "_walk", walk)
+    for k in range(5):
+        for m in enumerate_models(k, True):
+            assert validate_model(m) == validate_description(m.points) == ((),)
+            assert contract_description(expand_model(m), k) == m
+        for m in enumerate_models(k, False):
+            assert validate_model(m) == validate_colored_description(m.points) == ((),)
+            assert contract_colored(expand_colored(m), k) == m
 
 
 def test_validate_description_examples():
@@ -424,6 +531,15 @@ def test_json_rejects_malformed():
         colored_description_from_dict({"segments": [{"type": "R", "color": 1}]})
     with pytest.raises(ValueError, match="^unknown segment type 'R'$"):
         description_from_dict({"segments": [{"type": "R", "kind": "omega"}]})
+
+
+@pytest.mark.parametrize("encoding", [3, 1, "omega_plus", {"finite": 1, "x": 2}], ids=repr)
+@pytest.mark.parametrize("field", ["kind", "kinds"])
+def test_kind_decoder_refuses_what_encodes_no_kind(field, encoding):
+    # a kind is {"finite": size} or an infinite kind's name; a bare int is a color's encoding, not a size
+    segment = {"type": "block", "kind": encoding} if field == "kind" else {"type": "shuffle", "kinds": [encoding]}
+    with pytest.raises(ValueError, match=f"^unknown block kind encoding {re.escape(repr(encoding))}$"):
+        description_from_dict({"segments": [segment]})
 
 
 def test_json_rejects_wrong_types():

@@ -29,8 +29,10 @@ def frac(a, b=1):
     return Fraction(a, b)
 
 
-def binomial_convolution_oracle(a, b, order):
-    """Plain double-loop Cauchy product, independent of ps_mul."""
+def cauchy_product_oracle(a, b, order):
+    """The ordinary Cauchy product sum_i a_i*b_(j-i) of the coefficients themselves, by a plain double loop over
+    Fractions: independent of ps_mul, which convolves integer EGF numerators binomially and forms no lcm of the
+    coefficients' denominators."""
     return [
         sum(a[i] * b[j - i] for i in range(j + 1) if i < len(a) and j - i < len(b))
         for j in range(order + 1)
@@ -45,7 +47,7 @@ def test_exp_and_geometric_prefixes():
 
 def test_mul_matches_convolution_oracle():
     a, b = ps_exp(3), ps_exp(3)
-    expected = binomial_convolution_oracle(list(a.coeffs), list(b.coeffs), 3)
+    expected = cauchy_product_oracle(list(a.coeffs), list(b.coeffs), 3)
     got = ps_mul(a, b)
     assert list(got.coeffs) == expected
     # e^x * e^x = e^{2x}: coefficient j is 2^j / j!
@@ -66,13 +68,13 @@ def test_mul_is_exact_on_unrelated_denominators():
         order = min(len(a), len(b)) - 1
         got = ps_mul(TruncatedSeries(a), TruncatedSeries(b))
         assert got.order == order
-        assert list(got.coeffs) == binomial_convolution_oracle(a, b, order)
+        assert list(got.coeffs) == cauchy_product_oracle(a, b, order)
 
 
 def test_mul_edge_cases():
     a = [frac(1, 7), frac(-3, 11), frac(0), frac(5, 12)]
     b = [frac(-2, 11), frac(1, 12), frac(7, 13)]
-    assert ps_mul(TruncatedSeries(a), TruncatedSeries(b)).coeffs == tuple(binomial_convolution_oracle(a, b, 2))
+    assert ps_mul(TruncatedSeries(a), TruncatedSeries(b)).coeffs == tuple(cauchy_product_oracle(a, b, 2))
     assert ps_mul(TruncatedSeries([frac(-2, 7)]), TruncatedSeries(b)).coeffs == (frac(4, 77),)
     assert ps_mul(ps_constant(0, 3), TruncatedSeries(a)) == ps_constant(0, 3)
     with pytest.raises(ValueError, match="^a truncated series has at least its constant term$"):
@@ -80,9 +82,10 @@ def test_mul_edge_cases():
 
 
 def test_mul_at_order_60_where_the_lcm_is_60_factorial():
-    # the lcm of the Fraction denominators is 60!; as EGF numerators both operands are integers
+    # the lcm of the coefficients' denominators is 60!, which ps_mul no longer forms: it scales coefficient j by
+    # j!, and as EGF numerators both operands are integers over 1
     e, f = ps_exp(60), egf_f(60)
-    assert list(ps_mul(e, f).coeffs) == binomial_convolution_oracle(list(e.coeffs), list(f.coeffs), 60)
+    assert list(ps_mul(e, f).coeffs) == cauchy_product_oracle(list(e.coeffs), list(f.coeffs), 60)
 
 
 def test_truncated_series_is_an_immutable_value_tuple():
@@ -128,11 +131,11 @@ def reciprocal_oracle(a):
 
 
 def compose_oracle(outer, inner):
-    """Fraction Horner loop over binomial_convolution_oracle, independent of ps_compose."""
+    """Fraction Horner loop over cauchy_product_oracle, independent of ps_compose."""
     order = min(len(outer), len(inner)) - 1
     result = [outer[order]] + [Fraction(0)] * order
     for j in range(order - 1, -1, -1):
-        result = binomial_convolution_oracle(result, inner, order)
+        result = cauchy_product_oracle(result, inner, order)
         result[0] += outer[j]
     return result
 
