@@ -35,10 +35,10 @@ from operator import itemgetter
 from homcount import counting, kernel
 from homcount.combinatorics import integer
 
-# The largest k of each exact method. Python 3.11, 2-core VM: `count` in a fresh process takes
-# I(1500) 1.5 s, I(2000) 3.1 s and 30 MB peak by recurrence. The closed form's inner sums grow about
-# as k^5: closed_form_I_terms(1, k) takes 0.13 s to k = 100, 0.9 s to 150 and 3.5 s to 200 in
-# process, and an export to 100 takes 0.3 s in a fresh process.
+# The largest k of each exact method. Python 3.11.7, shared 2-core Xeon VM, 5 fresh processes each:
+# `count` takes I(1500) 0.84-1.17 s, I(2000) 1.81-1.91 s and 31 MB max RSS by recurrence. The closed
+# form's inner sums grow about as k^4: closed_form_I_terms(1, k) takes 0.10 s to k = 100, 0.46 s to
+# 150 and 1.55 s to 200 in process (3 runs), and an export to 100 takes 0.15 s in a fresh process.
 BOUNDS = {"recurrence": 2000, "closed-form": 100}
 
 Terms = Callable[[int, int, int | None], list[int]]  # terms(lo, hi, cap)

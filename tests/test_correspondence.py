@@ -5,12 +5,12 @@ import itertools
 import json
 import math
 import re
+from collections import defaultdict
 
 import pytest
 
 from homcount.correspondence import (
     InvalidStructureError,
-    _automorphisms,
     classify_cnm,
     contract_colored,
     contract_description,
@@ -243,13 +243,15 @@ def test_is_finite_homogeneous_cap():
 
 
 def test_homogeneity_reduction():
-    # brute force agrees with "all colors distinct" on every ordering of
-    # length <= 6 over colors {1,2,3}
-    for length in range(7):
+    # the gap rule agrees with "all colors distinct" on every ordering of length <= 8 (the cap) over
+    # colors {1,2,3}, and on 8-point orderings whose colors are all distinct
+    for length in range(9):
         for colors in itertools.product([1, 2, 3], repeat=length):
             o = FiniteColoredOrdering(colors)
             expected = len(set(colors)) == len(colors)
             assert is_finite_homogeneous(o) == expected, colors
+    for colors in [range(1, 9), range(8, 0, -1), (5, 2, 8, 1, 7, 3, 6, 4), (10, 20, 30, 40, 50, 60, 70, 80)]:
+        assert is_finite_homogeneous(FiniteColoredOrdering(colors)), colors
 
 
 def permutation_filter_automorphisms(o):
@@ -263,8 +265,22 @@ def permutation_filter_automorphisms(o):
     ]
 
 
-def test_automorphism_search_matches_permutation_filter():
+def homogeneous_by_definition(o):
+    """Every map between two subsequences of one color sequence extends to an automorphism."""
+    autos = permutation_filter_automorphisms(o)
+    by_colors = defaultdict(list)
+    for length in range(len(o) + 1):
+        for s in itertools.combinations(range(len(o)), length):
+            by_colors[tuple(o[i] for i in s)].append(s)
+    return all(
+        any(all(sigma[a] == b for a, b in zip(s, t)) for sigma in autos)
+        for group in by_colors.values()
+        for s, t in itertools.product(group, repeat=2)
+    )
+
+
+def test_gap_rule_matches_the_definition():
     for length in range(7):
         for colors in itertools.product([1, 2, 3], repeat=length):
             o = FiniteColoredOrdering(colors)
-            assert _automorphisms(o) == permutation_filter_automorphisms(o), colors
+            assert is_finite_homogeneous(o) == homogeneous_by_definition(o), colors

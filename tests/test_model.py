@@ -230,6 +230,29 @@ def test_decision_and_walk_agree_on_labels_the_oracles_skip(points):
     assert decided_and_walked(cases) == []
 
 
+# valid points, points that validation refuses, and valid points with a label out of range
+READ_ONCE_CASES = [
+    (contract_description, [RPoint(1), SPoint([2])], (3,)),
+    (contract_description, [RPoint(1), RPoint(2)], (3,)),
+    (contract_description, [SPoint([1, OMEGA])], (3,)),
+    (contract_description, [RPoint(5)], (3,)),
+    (contract_colored, [RPoint(1), SPoint([2])], (3,)),
+    (contract_colored, [SPoint([1]), RPoint(1)], (3,)),
+    (contract_colored, [RPoint(2), SPoint([0, 3])], (3,)),
+    (classify_cnm, [RPoint(5)], (1, 1)),
+    (classify_cnm, [SPoint([1, 3])], (1, 1)),
+    (classify_cnm, [SPoint([])], (1, 1)),
+]
+
+
+@pytest.mark.parametrize("call, points, args", READ_ONCE_CASES)
+def test_points_are_read_once(call, points, args):
+    # a one-shot iterator and a list give what the tuple gives, value or exception
+    want = outcome(call, tuple(points), *args)
+    assert outcome(call, list(points), *args) == want
+    assert outcome(call, iter(points), *args) == want
+
+
 def test_walk_diagnoses_what_the_decision_refuses():
     # the refused inputs reach the walk, which reports or raises as it always did
     assert outcome(validate_model, MulticoloredModel(3, [RPoint([1])], False)) == (TypeError, "unhashable type: 'list'")
