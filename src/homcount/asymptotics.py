@@ -29,10 +29,12 @@ def lambert_w0(t: float) -> float:
     """Principal Lambert W on t >= 0: the w with w*e^w = t.
 
     Halley iteration from w = log(1+t); converges to machine precision in a
-    handful of steps anywhere on the nonnegative axis.
+    handful of steps anywhere on the nonnegative axis. t is an int or a float;
+    a bool, any other type, an infinity, a nan and a negative t are refused
+    with a ValueError, never answered with nan.
     """
-    if t < 0:
-        raise ValueError(f"lambert_w0 requires a nonnegative argument, got {t}")
+    if type(t) not in (int, float) or not math.isfinite(t) or t < 0:
+        raise ValueError(f"lambert_w0 requires a finite t >= 0, got t = {t!r}")
     if t == 0:
         return 0.0
     w = math.log1p(t)

@@ -117,12 +117,6 @@ def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
     return _contract(d, k, False)
 
 
-def _check_extended_nat(name: str, value: ExtendedNat) -> None:
-    if value == math.inf or (type(value) is int and value >= 0):  # a bool is not a count
-        return
-    raise ValueError(f"{name} must be a nonnegative integer or math.inf, got {value!r}")
-
-
 def _kind_permitted(kind: BlockKind, n: ExtendedNat, m: ExtendedNat) -> bool:
     if type(kind) is int:
         return kind <= n + m + 1
@@ -134,9 +128,11 @@ def _kind_permitted(kind: BlockKind, n: ExtendedNat, m: ExtendedNat) -> bool:
 
 
 def classify_cnm(d: OrderingDescription, n: ExtendedNat, m: ExtendedNat) -> bool:
-    """Whether every block kind in d survives successor/predecessor budgets (n, m)."""
-    _check_extended_nat("n", n)
-    _check_extended_nat("m", m)
+    """Whether every block kind in d survives successor/predecessor budgets (n, m),
+    each math.inf or an int >= 0 under combinatorics.nonnegative's rule."""
+    for budget, name in ((n, "n"), (m, "m")):
+        if budget != math.inf:
+            nonnegative(budget, name)
     points = tuple(d)
     _require(validate_description(points), "description")
     return all(_kind_permitted(kind, n, m) for p in points for kind in p.colors)
@@ -156,7 +152,7 @@ def is_finite_homogeneous(o: FiniteColoredOrdering) -> bool:
     """
     size = len(o)
     if size > HOMOGENEITY_CAP:
-        raise ValueError(f"is_finite_homogeneous searches at most {HOMOGENEITY_CAP} points, got {size}")
+        raise ValueError(f"is_finite_homogeneous takes at most {HOMOGENEITY_CAP} points, got {size}")
     gaps_of: dict = {}  # color sequence -> the gap colors of its first subsequence
     for length in range(size + 1):
         for s in itertools.combinations(range(size), length):

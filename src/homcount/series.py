@@ -7,29 +7,32 @@ is expected is reported as an error, never rounded.
 
 The three counting series:
 
-* egf_f: 1/(2 - x - e^x), built as geometric composed with e^x + x - 1; its
-  coefficient counts (k! times coefficient k) are j_surjective.
+* egf_f: 1/(2 - x - e^x) = 1/(1 - g) with g = e^x + x - 1, built by Horner's
+  rule r <- 1 + g*r on integer EGF numerators; its coefficient counts (k! times
+  coefficient k) are j_surjective.
 * egf_H: e^x / (2 - x - e^x), built as e^x times the reciprocal of the
   denominator; its counts are count_L.
 * egf_fubini: 1/(2 - e^x); its counts are the ordered set partition numbers.
 
-The three series e^x + x - 1, 2 - x - e^x and 2 - e^x are each of the form
-+-e^x + c0 + c1*x and come from one function, _exp_line.
+The two denominators that are inverted, 2 - x - e^x and 2 - e^x, are each
+2 + c1*x - e^x and come from one function, _exp_line.
 
-egf_H and egf_f deliberately take different construction routes (reciprocal
-vs composition), so the identity H = exp * f cross-checks both primitives.
+egf_f deliberately does not call ps_reciprocal: as long as it reaches f by its
+own Horner loop, the identity H = exp * f (verify's "EGF product identity")
+cross-checks ps_reciprocal and ps_mul against that loop. Built as a reciprocal,
+f would make the identity check ps_reciprocal against itself.
 
-ps_mul, ps_reciprocal and ps_compose share one internal form: coefficients
-0..n as integer EGF numerators x[j] = c_j*j!*d over one denominator d, the lcm
-of the denominators of c_j*j!, which is 1 for every counting EGF. On that form
-a product is the binomial convolution z_m = sum_i C(m, i)*x_i*y_(m-i), the
-reciprocal an integer recurrence and the composition an integer Horner loop,
-and each output coefficient is one Fraction, reduced once. A Fraction product
-and sum per term would pay a gcd per term. Binomial rows, factorials and powers
-are built inside each call; nothing is cached between calls.
+ps_mul, ps_reciprocal and egf_f share one internal form: coefficients 0..n as
+integer EGF numerators x[j] = c_j*j!*d over one denominator d, the lcm of the
+denominators of c_j*j!, which is 1 for every counting EGF. On that form a
+product is the binomial convolution z_m = sum_i C(m, i)*x_i*y_(m-i), the
+reciprocal an integer recurrence and egf_f's loop one such convolution per
+step, and each output coefficient is one Fraction, reduced once. A Fraction
+product and sum per term would pay a gcd per term. Binomial rows, factorials
+and powers are built inside each call; nothing is cached between calls.
 
-The three builders, the three primitives that take an order (ps_constant,
-ps_exp, ps_geometric) and verify.run_checks refuse an order that is no int in
+The three builders, the two primitives that take an order (ps_constant and
+ps_exp) and verify.run_checks refuse an order that is no int in
 0..MAX_ORDER before building anything, through check_order. egf_counts takes
 its coefficient index under the same rule (combinatorics.nonnegative), and
 refuses one above the series' order.
@@ -77,12 +80,6 @@ def ps_exp(order: int) -> TruncatedSeries:
     """Taylor series of e^x: coefficient j is 1/j!."""
     check_order(order)
     return TruncatedSeries(Fraction(1, factorial(j)) for j in range(order + 1))
-
-
-def ps_geometric(order: int) -> TruncatedSeries:
-    """1/(1-x): all coefficients 1."""
-    check_order(order)
-    return TruncatedSeries([Fraction(1)] * (order + 1))
 
 
 def ps_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -143,33 +140,11 @@ def ps_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     return _from_numerators([d * vm * p for vm, p in zip(v, reversed(powers))], powers[-1] * x[0])
 
 
-def ps_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(x)) by Horner evaluation on EGF numerators; inner must vanish at 0.
-    Once outer's coefficient j is folded in, the value is kept to order n - j only: the
-    j steps left multiply it by inner, which has no constant term. Each outer
-    coefficient's denominator is folded in by an lcm."""
-    if inner.coeffs[0] != 0:
-        raise ValueError("composition requires an inner series with zero constant term")
-    n = min(outer.order, inner.order)
-    y, dy = _numerators(inner, n)
-    y1 = y[1:]  # y_0 = 0
-    r, d = [outer.coeffs[n].numerator], outer.coeffs[n].denominator
-    for c in reversed(outer.coeffs[:n]):
-        new_d = math.lcm(d * dy, c.denominator)
-        scale = new_d // (d * dy)
-        r = [c.numerator * (new_d // c.denominator)] + [
-            scale * sum(map(mul, row[1:], map(mul, y1, r[m - 1::-1])))
-            for m, row in enumerate(islice(_pascal(len(r)), 1, None), 1)
-        ]
-        d = new_d
-    return _from_numerators(r, d)
-
-
-def _exp_line(sign: int, c0: int, c1: int, order: int) -> TruncatedSeries:
-    """sign*e^x + c0 + c1*x to the given order: coefficient j is sign/j!, plus
-    c0 at j = 0 and c1 at j = 1."""
-    coeffs = [Fraction(sign, factorial(j)) for j in range(order + 1)]
-    for j, c in zip(range(order + 1), (c0, c1)):
+def _exp_line(c1: int, order: int) -> TruncatedSeries:
+    """2 + c1*x - e^x to the given order: coefficient j is -1/j!, plus 2 at
+    j = 0 and c1 at j = 1."""
+    coeffs = [Fraction(-1, factorial(j)) for j in range(order + 1)]
+    for j, c in zip(range(order + 1), (2, c1)):
         coeffs[j] += c
     return TruncatedSeries(coeffs)
 
@@ -182,21 +157,32 @@ def check_order(order: int) -> None:
 
 
 def egf_f(order: int) -> TruncatedSeries:
-    """1/(2 - x - e^x): coefficient counts are the surjective model numbers."""
+    """1/(2 - x - e^x): coefficient counts are the surjective model numbers.
+
+    Horner's rule for 1/(1 - g) = 1 + g*(1 + g*(...)), g = e^x + x - 1, run on
+    EGF numerators over 1: g's are 0, 2, 1, 1, ..., and step m sets
+    r_j = [j = 0] + sum_(i>=1) C(j, i)*g_i*r_(j-i) for j <= m. Each step left
+    after step m multiplies r by g, which has no constant term, so r is kept to
+    order m there."""
     check_order(order)
-    return ps_compose(ps_geometric(order), _exp_line(1, -1, 1, order))  # 1/(1 - (e^x + x - 1))
+    g = [2] + [1] * order  # numerators of g from j = 1
+    r = [1]
+    for _ in range(order):
+        r = [1] + [sum(map(mul, row[1:], map(mul, g, r[j - 1::-1])))
+                   for j, row in enumerate(islice(_pascal(len(r)), 1, None), 1)]
+    return _from_numerators(r, 1)
 
 
 def egf_H(order: int) -> TruncatedSeries:
     """e^x / (2 - x - e^x): coefficient counts are the k-colored ordering numbers."""
     check_order(order)
-    return ps_mul(ps_exp(order), ps_reciprocal(_exp_line(-1, 2, -1, order)))
+    return ps_mul(ps_exp(order), ps_reciprocal(_exp_line(-1, order)))
 
 
 def egf_fubini(order: int) -> TruncatedSeries:
     """1/(2 - e^x): coefficient counts are the ordered set partition numbers."""
     check_order(order)
-    return ps_reciprocal(_exp_line(-1, 2, 0, order))
+    return ps_reciprocal(_exp_line(0, order))
 
 
 def egf_counts(s: TruncatedSeries, k: int) -> int:

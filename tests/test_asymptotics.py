@@ -1,6 +1,7 @@
 """Float-domain checks: Lambert identity, pole/residue identities, reference digits."""
 
 import math
+import re
 
 import pytest
 
@@ -23,8 +24,10 @@ def test_lambert_examples():
 
 
 def test_lambert_rejects_negative():
-    with pytest.raises(ValueError):
-        lambert_w0(-0.5)
+    # each refused by name: never answered with a nan, read as 0 or 1, or left to a TypeError
+    for t in (-0.5, -1, float("inf"), float("-inf"), float("nan"), True, False, "3", None):
+        with pytest.raises(ValueError, match=rf"^lambert_w0 requires a finite t >= 0, got t = {re.escape(repr(t))}$"):
+            lambert_w0(t)
 
 
 def test_lambert_defining_identity_on_grid():

@@ -212,7 +212,6 @@ _INDEX_ENTRY_POINTS = {
     "surjective_first_point_split": (enumeration.surjective_first_point_split, "color count", None),
     "ps_constant": (lambda v: series.ps_constant(1, v), "series order", None),
     "ps_exp": (series.ps_exp, "series order", None),
-    "ps_geometric": (series.ps_geometric, "series order", None),
     "egf_f": (series.egf_f, "series order", None),
     "egf_H": (series.egf_H, "series order", None),
     "egf_fubini": (series.egf_fubini, "series order", None),

@@ -205,13 +205,15 @@ def test_classify_cnm_infinite_kind_cases():
 
 def test_classify_cnm_argument_validation():
     d = OrderingDescription([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
         classify_cnm(d, -1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be an integer, got 1.5$"):
         classify_cnm(d, 1.5, 2)
-    for n, m in ((True, 0), (0, False)):  # a bool is refused, not read as 1 or 0
-        with pytest.raises(ValueError, match="must be a nonnegative integer or math.inf, got (True|False)$"):
-            classify_cnm(d, n, m)
+    # a bool is refused, not read as 1 or 0
+    with pytest.raises(ValueError, match="^n must be an integer, got True$"):
+        classify_cnm(d, True, 0)
+    with pytest.raises(ValueError, match="^m must be an integer, got False$"):
+        classify_cnm(d, 0, False)
     for labels in [(RPoint(True),), (RPoint(2), RPoint(True)), (RPoint("x"), RPoint("x")), (SPoint([2.5]),)]:
         with pytest.raises(InvalidStructureError) as refused:  # a label that is no block kind
             classify_cnm(labels, 1, 1)
@@ -238,7 +240,7 @@ def test_is_finite_homogeneous_examples():
 
 
 def test_is_finite_homogeneous_cap():
-    with pytest.raises(ValueError, match="^is_finite_homogeneous searches at most 8 points, got 9$"):
+    with pytest.raises(ValueError, match="^is_finite_homogeneous takes at most 8 points, got 9$"):
         is_finite_homogeneous(FiniteColoredOrdering([1] * 9))
 
 

@@ -1,10 +1,12 @@
 """Series ring identities and generating-function counts against the recurrences."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from homcount import series
 from homcount.counting import count_L, fubini, j_surjective
 from homcount.series import (
     MAX_ORDER,
@@ -14,10 +16,8 @@ from homcount.series import (
     egf_fubini,
     egf_H,
     ps_add,
-    ps_compose,
     ps_constant,
     ps_exp,
-    ps_geometric,
     ps_mul,
     ps_reciprocal,
 )
@@ -39,9 +39,8 @@ def cauchy_product_oracle(a, b, order):
     ]
 
 
-def test_exp_and_geometric_prefixes():
+def test_exp_prefixes():
     assert ps_exp(2).coeffs == (frac(1), frac(1), frac(1, 2))
-    assert ps_geometric(3).coeffs == (frac(1),) * 4
     assert ps_exp(0).coeffs == (frac(1),)
 
 
@@ -131,7 +130,8 @@ def reciprocal_oracle(a):
 
 
 def compose_oracle(outer, inner):
-    """Fraction Horner loop over cauchy_product_oracle, independent of ps_compose."""
+    """outer(inner(x)) by a Fraction Horner loop over cauchy_product_oracle, independent of egf_f's loop on
+    integer EGF numerators."""
     order = min(len(outer), len(inner)) - 1
     result = [outer[order]] + [Fraction(0)] * order
     for j in range(order - 1, -1, -1):
@@ -156,13 +156,10 @@ def test_reciprocal_matches_its_fraction_oracle():
 
 
 def test_compose_matches_its_fraction_oracle():
-    # outer coefficients that are not integers, and inner coefficients over unrelated denominators
-    rng = random.Random(5151)
-    for _ in range(60):
-        outer = random_series(rng, Fraction(rng.randint(-9, 9), rng.choice([1, 3, 7])), rng.randint(1, 10))
-        inner = random_series(rng, frac(0), rng.randint(1, 10))
-        got = ps_compose(TruncatedSeries(outer), TruncatedSeries(inner))
-        assert list(got.coeffs) == compose_oracle(outer, inner)
+    # egf_f is 1/(1 - x) composed with g = e^x + x - 1; every order, since the loop's step count is the order
+    for n in range(31):
+        g = [frac(0), frac(2)] + [frac(1, math.factorial(j)) for j in range(2, n + 1)]
+        assert list(egf_f(n).coeffs) == compose_oracle([frac(1)] * (n + 1), g)
 
 
 def test_reciprocal_property_randomized():
@@ -176,26 +173,11 @@ def test_reciprocal_property_randomized():
         assert ps_mul(a, ps_reciprocal(a)) == one
 
 
-def test_compose_identity_and_constant():
-    geo = ps_geometric(5)
-    x = TruncatedSeries([0, 1, 0, 0, 0, 0])
-    assert ps_compose(geo, x) == geo
-    s = ps_exp(4)
-    assert ps_compose(s, ps_constant(0, 4)) == ps_constant(1, 4)
-    with pytest.raises(ValueError, match="zero constant"):
-        ps_compose(geo, ps_constant(1, 5))
-
-
-def test_compose_geometric_with_exp_plus_x_minus_one():
-    # prefix of 1/(2-x-e^x); counts 1, 2, 9, 61 are the surjective numbers
-    g1 = TruncatedSeries([0, 2, frac(1, 2), frac(1, 6)])
-    got = ps_compose(ps_geometric(3), g1)
-    assert got.coeffs == (frac(1), frac(2), frac(9, 2), frac(61, 6))
-
-
 def test_egf_prefix_values():
     assert egf_H(2).coeffs == (frac(1), frac(3), frac(7))
     assert egf_f(0).coeffs == (frac(1),)
+    # prefix of 1/(2-x-e^x); counts 1, 2, 9, 61 are the surjective numbers
+    assert egf_f(3).coeffs == (frac(1), frac(2), frac(9, 2), frac(61, 6))
     assert egf_fubini(3).coeffs == (frac(1), frac(1), frac(3, 2), frac(13, 6))
 
 
@@ -231,9 +213,20 @@ def test_fubini_counts_match_recurrence():
 
 
 def test_H_is_exp_times_f():
-    # reciprocal route (H) against composition route (f)
+    # reciprocal route (H) against egf_f's Horner loop
     for order in (0, 1, 5, 12, N, 40, MAX_ORDER):
         assert egf_H(order) == ps_mul(ps_exp(order), egf_f(order))
+
+
+def test_f_does_not_take_the_reciprocal_route(monkeypatch):
+    # H = exp * f cross-checks ps_reciprocal only while egf_f reaches f without it
+    def refuse(a):
+        raise AssertionError("ps_reciprocal called")
+
+    monkeypatch.setattr(series, "ps_reciprocal", refuse)
+    assert egf_counts(egf_f(30), 30) == j_surjective(30)
+    with pytest.raises(AssertionError, match="^ps_reciprocal called$"):
+        egf_H(30)
 
 
 def test_builders_refuse_orders_above_the_bound():
