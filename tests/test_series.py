@@ -173,11 +173,17 @@ def test_reciprocal_property_randomized():
         assert ps_mul(a, ps_reciprocal(a)) == one
 
 
+def test_compose_geometric_with_exp_plus_x_minus_one():
+    # prefix of 1/(2-x-e^x); counts 1, 2, 9, 61 are the surjective numbers
+    g1 = [frac(0), frac(2), frac(1, 2), frac(1, 6)]
+    expected = [frac(1), frac(2), frac(9, 2), frac(61, 6)]
+    assert compose_oracle([frac(1)] * 4, g1) == expected
+    assert list(egf_f(3).coeffs) == expected
+
+
 def test_egf_prefix_values():
     assert egf_H(2).coeffs == (frac(1), frac(3), frac(7))
     assert egf_f(0).coeffs == (frac(1),)
-    # prefix of 1/(2-x-e^x); counts 1, 2, 9, 61 are the surjective numbers
-    assert egf_f(3).coeffs == (frac(1), frac(2), frac(9, 2), frac(61, 6))
     assert egf_fubini(3).coeffs == (frac(1), frac(1), frac(3, 2), frac(13, 6))
 
 
