@@ -15,6 +15,7 @@ bool or a float is refused, never read as a number.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from homcount.combinatorics import factorial, nonnegative
@@ -28,20 +29,22 @@ _GRID_SAMPLES = 2000  # growth_bound_grid_check's grid steps over (0, 1/2)
 def lambert_w0(t: float) -> float:
     """Principal Lambert W on t >= 0: the w with w*e^w = t.
 
-    Halley iteration from w = log(1+t); converges to machine precision in a
-    handful of steps anywhere on the nonnegative axis. t is an int or a float;
-    a bool, any other type, an infinity, a nan and a negative t are refused
-    with a ValueError, never answered with nan.
+    Halley iteration from w = log(1+t) on f/e^w = w - t*e^(-w), which stays
+    finite where w*e^w - t would overflow; converges to machine precision in a
+    handful of steps anywhere on the nonnegative axis. t is an int or a float,
+    converted to a float once; a bool, any other type, an infinity, a nan, a
+    negative t and an int that no double holds are refused with a ValueError,
+    never answered with nan.
     """
-    if type(t) not in (int, float) or not math.isfinite(t) or t < 0:
+    if type(t) not in (int, float) or not 0 <= t <= sys.float_info.max:  # an int and a float compare exactly
         raise ValueError(f"lambert_w0 requires a finite t >= 0, got t = {t!r}")
     if t == 0:
         return 0.0
+    t = float(t)
     w = math.log1p(t)
     for _ in range(50):
-        e = math.exp(w)
-        f = w * e - t
-        step = f / (e * (w + 1) - (w + 2) * f / (2 * (w + 1)))
+        f = w - t * math.exp(-w)
+        step = f / ((w + 1) - (w + 2) * f / (2 * (w + 1)))
         w -= step
         if abs(step) < 1e-15:
             break

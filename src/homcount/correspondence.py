@@ -6,18 +6,19 @@ constrained model therefore expands into an ordering description that is its
 own tuple of points: an R-point of color i is a singleton block of size i, an
 S-point with color set A a shuffle of the blocks sized by A. An unconstrained
 model expands into a colored description, which is also the model's own tuple
-of points (no adjacency rules, no k). Both expansions are the identity on
-points after validation, and contraction is the exact inverse: validation, the
-range rule, and the model of the same points. Both contractions are one body,
-_contract, which reads the points into a tuple once, so a one-shot iterator
-gives the same model as a tuple. It decides, then diagnoses, as the validators
+of points (no adjacency rules, no k). Both expansions are one body, _expand,
+and both contractions are one body, _contract; each reads the points into a
+tuple once, so a one-shot iterator gives what a tuple gives, and an expansion
+returns the tuple it checked. Both decide, then diagnose, as the validators
 do: model._decide, bounded by k, checks validity and the range on one flat
-label list, and a description it admits becomes the model by tuple.__new__.
-Only a refused one is validated and range-checked to name what is wrong. Label
-sets are stored in canonical order (kinds by kind_key, colors ascending), so
-contraction names the first out-of-range label in points order and then in
-stored order, and the message is the same on every run. A kind is named by its
-wire encoding as Python prints it: {'finite': 3}, omega.
+label list. A valid model's points are its description, and a description it
+admits becomes the model by tuple.__new__, so contraction is the exact inverse
+of expansion. Only a refused input is validated, and a refused description
+range-checked, to name what is wrong. Label sets are stored in canonical order
+(kinds by kind_key, colors ascending), so contraction names the first
+out-of-range label in points order and then in stored order, and the message
+is the same on every run. A kind is named by its wire encoding as Python
+prints it: {'finite': 3}, omega.
 
 classify_cnm decides whether a description stays homogeneous when the language
 keeps predicates for n successors, m predecessors, and distances below n+m:
@@ -26,11 +27,11 @@ infinite successor budget kills no omega* blocks and vice versa; zeta blocks
 need at least one infinite side. It reads its points once too.
 
 is_finite_homogeneous decides homogeneity of an explicit finite colored
-ordering, a tuple of colors, by the one-point extension (back-and-forth)
-criterion (W. Hodges, Model Theory, 1993, section 7.1), the gap rule that its
-docstring states. It does not assume that a finite linear order only has the
-identity automorphism, so the reduction "homogeneous iff all colors distinct"
-stays a tested fact.
+ordering, a tuple of colors (read once), by the one-point extension
+(back-and-forth) criterion (W. Hodges, Model Theory, 1993, section 7.1), the
+gap rule that its docstring states. It does not assume that a finite linear
+order only has the identity automorphism, so the reduction "homogeneous iff
+all colors distinct" stays a tested fact.
 """
 
 from __future__ import annotations
@@ -75,12 +76,19 @@ def _require(report: ValidationReport, what: str) -> None:
         raise InvalidStructureError(what, report)
 
 
+def _expand(m: MulticoloredModel, constrained: bool, name: str) -> tuple:
+    """The points of m, read once, as its description; refused unless m is a valid model of the theory."""
+    if boolean(m.adjacency_constrained, "adjacency_constrained") is not constrained:
+        raise ValueError(f"{name} expects an adjacency-{'' if constrained else 'un'}constrained model")
+    k, points = nonnegative(m.k, "k"), tuple(m.points)
+    if not _decide(points, not constrained, 1, k):
+        _require(validate_model(tuple.__new__(MulticoloredModel, (k, points, constrained))), "model")
+    return points
+
+
 def expand_model(m: MulticoloredModel) -> OrderingDescription:
     """Constrained model -> ordering description (color i <-> block size i)."""
-    if not boolean(m.adjacency_constrained, "adjacency_constrained"):
-        raise ValueError("expand_model expects an adjacency-constrained model")
-    _require(validate_model(m), "model")
-    return m.points
+    return _expand(m, True, "expand_model")
 
 
 def _contract(d, k: int, constrained: bool) -> MulticoloredModel:
@@ -106,10 +114,7 @@ def contract_description(d: OrderingDescription, k: int) -> MulticoloredModel:
 
 def expand_colored(m: MulticoloredModel) -> ColoredDescription:
     """Unconstrained model -> colored description: the same points, without k."""
-    if boolean(m.adjacency_constrained, "adjacency_constrained"):
-        raise ValueError("expand_colored expects an adjacency-unconstrained model")
-    _require(validate_model(m), "model")
-    return m.points
+    return _expand(m, False, "expand_colored")
 
 
 def contract_colored(d: ColoredDescription, k: int) -> MulticoloredModel:
@@ -150,6 +155,7 @@ def is_finite_homogeneous(o: FiniteColoredOrdering) -> bool:
     is a tested property, not something this function assumes. An ordering of
     more than HOMOGENEITY_CAP points is refused with a ValueError.
     """
+    o = tuple(o)
     size = len(o)
     if size > HOMOGENEITY_CAP:
         raise ValueError(f"is_finite_homogeneous takes at most {HOMOGENEITY_CAP} points, got {size}")

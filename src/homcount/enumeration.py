@@ -35,8 +35,9 @@ Counting never materializes models: it goes through homcount.kernel, which
 walks the same choice tree and splits the surjective models into S-first and
 R-first at its root. surjective_first_point_split and
 enumerate_ordered_set_partitions are the library's capped entry points: each
-applies kernel.check_cap first. The cap (DEFAULT_CAP, BruteForceCapError,
-brute_force_cap, check_cap) lives in kernel and is imported from there.
+applies kernel.check_cap at the call, before it walks or returns a stream. The
+cap (DEFAULT_CAP, BruteForceCapError, brute_force_cap, check_cap) lives in
+kernel and is imported from there.
 
 Streams are lazy: besides the current chain of at most k generator frames they
 hold only the move tables, 3^k entries for k colors, and the suffix tables,
@@ -154,9 +155,10 @@ def enumerate_surjective(k: int, constrained: bool = True) -> Iterator[Multicolo
 
 
 def enumerate_ordered_set_partitions(k: int, cap: int | None = None) -> Iterator[MulticoloredModel]:
-    """All-S-point surjective models: the ordered set partitions of {1..k}."""
+    """All-S-point surjective models: the ordered set partitions of {1..k}.
+    The cap is checked at the call, a k beyond kernel.MAX_K at the first next."""
     check_cap(k, cap)
-    yield from _stream(k, False, True, False)
+    return _stream(k, False, True, False)
 
 
 def surjective_first_point_split(

@@ -47,22 +47,24 @@ normalizing constructor (the label set sorted and deduplicated, the points
 made a tuple); code that already holds normalized fields may build a value
 with ``tuple.__new__`` and skip it.
 
-Validators decide, then diagnose. Each first decides validity (_decide): one
-pass over the points gathers their labels in a flat list and stops at an
-empty set, at a point that is no RPoint or SPoint, and at two R-points in a
-row where they are forbidden; then set, map, min and max check in C that the
-labels are distinct ints in range. A valid input returns one shared empty
-report. The description decision admits finite kinds only, so a description
-with an infinite kind is always walked. Only an input that the decision
-refuses is walked to name what is wrong, so _walk and the per-format rules
-after it build every violation.
+Validators read once, decide, then diagnose. Each reads its points into a
+tuple once, so a one-shot iterator gives what a tuple gives, and decides
+validity (_decide): one pass over the points gathers their labels in a flat
+list and stops at an empty set, at a point that is no RPoint or SPoint, and at
+two R-points in a row where they are forbidden; then set, map, min and max
+check in C that the labels are distinct ints in range. A valid input returns
+one shared empty report. The description decision admits finite kinds only, so
+a description with an infinite kind is always diagnosed. Only an input that
+the decision refuses goes to the one diagnosis (_diagnose), which builds every
+violation.
 
-Validators return violation lists rather than raising. One walk over the
-segments checks the two axioms that every format shares: no set is empty
-(``Tprime.2``, ``T.shuffle_empty``) and no color or kind is in two segments
-(``Tprime.5``-``Tprime.7``, ``T.disjoint``). Each validator adds its own rules
-to it, and reports a label that breaks the range, size or kind rule once, at
-its first position. Each violation carries a machine-readable axiom identifier:
+Validators return violation lists rather than raising. The diagnosis reports
+in three passes. The first checks the two axioms that every format shares: no
+set is empty (``Tprime.2``, ``T.shuffle_empty``) and no color or kind is in two
+segments (``Tprime.5``-``Tprime.7``, ``T.disjoint``). The second applies the
+format's label rule (range, size or kind) once per label, at its first
+position. The third applies the format's pair rule to each two adjacent
+R-points. Each violation carries a machine-readable axiom identifier:
 
 ==============  =====================================================
 ``Tprime.2``    point carries no color (empty S-set)
@@ -117,8 +119,6 @@ def kind_key(kind) -> tuple:
     bools among them) by size, then omega < omega* < zeta, then every other
     label by its type's name and its repr, so a set that mixes in a label that
     is no block kind still sorts and validation can name that label."""
-    if type(kind) is int:  # the common case: SPoint sorts every parsed set with this key
-        return (0, kind)
     if type(kind) is InfiniteKind:
         return (1, _INFINITE_RANK[kind])
     if isinstance(kind, int):
@@ -196,15 +196,13 @@ class ValidationReport(NamedTuple):
 _VALID = ValidationReport()  # the report of every input that _decide admits, shared
 
 
-def _decide(points, consecutive_r: bool, low: int | None, high: int | None) -> bool:
+def _decide(points: tuple, consecutive_r: bool, low: int | None, high: int | None) -> bool:
     """Whether `points` are valid with distinct int labels in low..high (None:
     unbounded), decided without a Python call per label: one pass over the
     points gathers their labels in a flat list and stops at an empty set, at a
     point that is no RPoint or SPoint, and at an R-point after an R-point
     unless `consecutive_r`; set, map, min and max decide the rest. False says
-    only that the validator must walk the points to report what is wrong."""
-    if not isinstance(points, (tuple, list)):  # a one-shot iterator is left to the walk, which reads it once
-        return False
+    only that the validator must diagnose the points to report what is wrong."""
     labels: list = []
     single = False
     for p in points:
@@ -225,15 +223,20 @@ def _decide(points, consecutive_r: bool, low: int | None, high: int | None) -> b
             and (low is None or min(labels) >= low) and (high is None or max(labels) <= high))
 
 
-def _walk(points, empty: str, reused: str, by_holders: dict, name) -> tuple[list[Violation], dict]:
-    """The two axioms every format shares, walked once: no set is empty
-    (`empty`) and no label is in two points. A reused label breaks the axiom
-    that `by_holders` names for the pair (first holder is an R-point, this
-    holder is an R-point), else `reused`; it is compared with its first holder
-    and named in the message by `name(label)`.
+def _diagnose(points: tuple, empty: str, reused: str, by_holders: dict, name, bad_label, bad_pair) -> ValidationReport:
+    """The report on points that _decide refused, in three passes.
 
-    Returns the violations and each label's first (position, is_r_point),
-    labels in point order and, within a set, in stored (canonical) order.
+    1. The two axioms every format shares: no set is empty (`empty`) and no
+       label is in two points. A reused label breaks the axiom that
+       `by_holders` names for the pair (first holder is an R-point, this
+       holder is an R-point), else `reused`; it is compared with its first
+       holder and named in the message by `name(label)`.
+    2. The format's label rule, `bad_label(label, i)`: a Violation or None,
+       once per label at its first position, labels in point order and,
+       within a set, in stored (canonical) order.
+    3. The format's pair rule, `bad_pair(left, right)` on the labels of each
+       two adjacent R-points: an (axiom, text) pair or None. None for
+       `bad_pair` skips the pass.
     """
     out: list[Violation] = []
     first: dict = {}
@@ -248,7 +251,12 @@ def _walk(points, empty: str, reused: str, by_holders: dict, name) -> tuple[list
                 out.append(Violation(axiom, (j, i), f"{name(label)} reused at {j} and {i}"))
             else:
                 first[label] = (i, single)
-    return out, first
+    out += filter(None, [bad_label(label, i) for label, (i, _) in first.items()])
+    for i in range(len(points) - 1 if bad_pair else 0):
+        left, right = points[i], points[i + 1]
+        if isinstance(left, RPoint) and isinstance(right, RPoint) and (bad := bad_pair(left.color, right.color)):
+            out.append(Violation(bad[0], (i, i + 1), f"{bad[1]} at {i},{i + 1}"))
+    return ValidationReport(tuple(out))
 
 
 def validate_model(m: MulticoloredModel) -> ValidationReport:
@@ -257,18 +265,14 @@ def validate_model(m: MulticoloredModel) -> ValidationReport:
     model_to_dict's ValueError instead: they are no model to report on."""
     k = nonnegative(m.k, "k")
     constrained = boolean(m.adjacency_constrained, "adjacency_constrained")
-    if _decide(m.points, not constrained, 1, k):
+    points = tuple(m.points)
+    if _decide(points, not constrained, 1, k):
         return _VALID
-    out, first = _walk(m.points, "Tprime.2", "Tprime.7", {(True, True): "Tprime.5", (False, False): "Tprime.6"},
-                       "color {}".format)
-    for color, (i, _) in first.items():
-        if type(color) is not int or not 1 <= color <= m.k:  # a bool or a block kind is no color
-            out.append(Violation("Tprime.range", (i,), f"color {color} at {i} outside 1..{m.k}"))
-    if constrained:
-        for i in range(len(m.points) - 1):
-            if isinstance(m.points[i], RPoint) and isinstance(m.points[i + 1], RPoint):
-                out.append(Violation("Tprime.3b", (i, i + 1), f"consecutive R-points at {i},{i + 1}"))
-    return ValidationReport(tuple(out))
+    return _diagnose(points, "Tprime.2", "Tprime.7", {(True, True): "Tprime.5", (False, False): "Tprime.6"},
+                     "color {}".format,
+                     lambda c, i: None if type(c) is int and 1 <= c <= k else  # a bool or a block kind is no color
+                     Violation("Tprime.range", (i,), f"color {c} at {i} outside 1..{k}"),
+                     (lambda left, right: ("Tprime.3b", "consecutive R-points")) if constrained else None)
 
 
 _SINGLETON_ADJACENCY = {
@@ -293,35 +297,32 @@ def _kind_name(label) -> str:
     return f"label {label!r}" if _kind_class(label) is None else f"kind {kind_to_json(label)}"
 
 
+def _bad_kind(kind, i: int) -> Violation | None:
+    """A description's label rule: a finite kind of size < 1 or a label that is no block kind, first seen at i."""
+    if type(kind) is int and kind < 1:
+        return Violation("T.finite_size", (i,), f"finite kind of size {kind} at {i}")
+    if _kind_class(kind) is None:  # a bool is no finite kind
+        return Violation("T.kind", (i,), f"{_kind_name(kind)} at {i} is not a block kind")
+    return None
+
+
 def validate_description(d: OrderingDescription) -> ValidationReport:
-    if _decide(d, False, 1, None):  # finite kinds only: two adjacent finite singletons glue (T.4)
+    points = tuple(d)
+    if _decide(points, False, 1, None):  # finite kinds only: two adjacent finite singletons glue (T.4)
         return _VALID
-    out, first = _walk(d, "T.shuffle_empty", "T.disjoint", {}, _kind_name)
-    for kind, (i, _) in first.items():
-        if type(kind) is int and kind < 1:
-            out.append(Violation("T.finite_size", (i,), f"finite kind of size {kind} at {i}"))
-        elif _kind_class(kind) is None:  # a bool is no finite kind
-            out.append(Violation("T.kind", (i,), f"{_kind_name(kind)} at {i} is not a block kind"))
-    for i in range(len(d) - 1):
-        left, right = d[i], d[i + 1]
-        if isinstance(left, RPoint) and isinstance(right, RPoint):
-            pair = (_kind_class(left.color), _kind_class(right.color))
-            if pair in _SINGLETON_ADJACENCY:
-                axiom, label = _SINGLETON_ADJACENCY[pair]
-                out.append(Violation(axiom, (i, i + 1), f"{label} at {i},{i + 1}"))
-    return ValidationReport(tuple(out))
+    return _diagnose(points, "T.shuffle_empty", "T.disjoint", {}, _kind_name, _bad_kind,
+                     lambda left, right: _SINGLETON_ADJACENCY.get((_kind_class(left), _kind_class(right))))
 
 
 def validate_colored_description(d: ColoredDescription) -> ValidationReport:
     """Colored descriptions only require nonempty shuffles, globally unique
     colors and labels that are colors: ints, not bools or block kinds."""
-    if _decide(d, True, None, None):
+    points = tuple(d)
+    if _decide(points, True, None, None):
         return _VALID
-    out, first = _walk(d, "T.shuffle_empty", "T.disjoint", {}, "color {}".format)
-    for color, (i, _) in first.items():
-        if type(color) is not int:
-            out.append(Violation("T.color", (i,), f"label {color!r} at {i} is not a color"))
-    return ValidationReport(tuple(out))
+    return _diagnose(points, "T.shuffle_empty", "T.disjoint", {}, "color {}".format,
+                     lambda c, i: None if type(c) is int else
+                     Violation("T.color", (i,), f"label {c!r} at {i} is not a color"), None)
 
 
 # ---------------------------------------------------------------------------

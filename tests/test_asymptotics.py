@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import pytest
 
@@ -25,7 +26,7 @@ def test_lambert_examples():
 
 def test_lambert_rejects_negative():
     # each refused by name: never answered with a nan, read as 0 or 1, or left to a TypeError
-    for t in (-0.5, -1, float("inf"), float("-inf"), float("nan"), True, False, "3", None):
+    for t in (-0.5, -1, float("inf"), float("-inf"), float("nan"), True, False, "3", None, 10**400):
         with pytest.raises(ValueError, match=rf"^lambert_w0 requires a finite t >= 0, got t = {re.escape(repr(t))}$"):
             lambert_w0(t)
 
@@ -36,6 +37,13 @@ def test_lambert_defining_identity_on_grid():
         t = 10 ** (-6 + 12 * i / 49)
         w = lambert_w0(t)
         assert abs(w * math.exp(w) - t) <= 1e-12 * max(1.0, t)
+
+
+def test_lambert_near_the_top_of_the_double_range():
+    # w*e^w overflows here, so the identity is checked in logs: w + ln w = ln t
+    for t in (1e303, 1e306, sys.float_info.max, 10**308):
+        w = lambert_w0(t)
+        assert abs(w + math.log(w) - math.log(t)) < 1e-12, t
 
 
 def test_constants_reference_digits():

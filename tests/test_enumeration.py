@@ -92,6 +92,9 @@ def test_count_matches_stream_length():
 def test_cap_refusal_names_the_cap():
     with pytest.raises(BruteForceCapError, match="cap of 7"):
         surjective_first_point_split(8, True)
+    # the stream refuses at the call too, not at its first next
+    with pytest.raises(BruteForceCapError, match="cap of 7"):
+        enumerate_ordered_set_partitions(8)
     # explicit override opens the door: K1(8) and K2(8)
     assert surjective_first_point_split(8, True, cap=8) == (5587635, 2841504)
     # a negative cap is refused by name, not as a cap that every k exceeds

@@ -8,7 +8,14 @@ import tracemalloc
 import pytest
 
 from homcount import correspondence, model
-from homcount.correspondence import classify_cnm, contract_colored, contract_description, expand_colored, expand_model
+from homcount.correspondence import (
+    classify_cnm,
+    contract_colored,
+    contract_description,
+    expand_colored,
+    expand_model,
+    is_finite_homogeneous,
+)
 from homcount.enumeration import enumerate_models
 from homcount.model import (
     ColoredDescription,
@@ -230,7 +237,8 @@ def test_decision_and_walk_agree_on_labels_the_oracles_skip(points):
     assert decided_and_walked(cases) == []
 
 
-# valid points, points that validation refuses, and valid points with a label out of range
+# valid points, points that validation refuses, and valid points with a label out of range; colored orderings that
+# are homogeneous, that are not, and one past the cap
 READ_ONCE_CASES = [
     (contract_description, [RPoint(1), SPoint([2])], (3,)),
     (contract_description, [RPoint(1), RPoint(2)], (3,)),
@@ -242,15 +250,52 @@ READ_ONCE_CASES = [
     (classify_cnm, [RPoint(5)], (1, 1)),
     (classify_cnm, [SPoint([1, 3])], (1, 1)),
     (classify_cnm, [SPoint([])], (1, 1)),
+    (is_finite_homogeneous, [], ()),
+    (is_finite_homogeneous, [1, 2, 3], ()),
+    (is_finite_homogeneous, [2, 1, 2, 1], ()),
+    (is_finite_homogeneous, [1] * 9, ()),
 ]
+
+
+def assert_read_once(call, points, *args):
+    """A one-shot iterator and a list give what the tuple gives, value or exception."""
+    want = outcome(call, tuple(points), *args)
+    assert outcome(call, list(points), *args) == want
+    assert outcome(call, iter(points), *args) == want
 
 
 @pytest.mark.parametrize("call, points, args", READ_ONCE_CASES)
 def test_points_are_read_once(call, points, args):
-    # a one-shot iterator and a list give what the tuple gives, value or exception
-    want = outcome(call, tuple(points), *args)
-    assert outcome(call, list(points), *args) == want
-    assert outcome(call, iter(points), *args) == want
+    assert_read_once(call, points, *args)
+
+
+def held(call, constrained):
+    """call on a model of k=3 that holds the points as it is given them: tuple.__new__ keeps a list or a one-shot
+    iterator as it is."""
+    return lambda points: call(tuple.__new__(MulticoloredModel, (3, points, constrained)))
+
+
+# every entry that reads points from a description or from a model's field, in either theory
+POINT_READERS = [validate_description, validate_colored_description, held(validate_model, True),
+                 held(validate_model, False), held(expand_model, True), held(expand_colored, False)]
+
+
+@pytest.mark.parametrize("points", [
+    [RPoint(1), SPoint([2])], [SPoint([1, 3]), RPoint(2)], [RPoint(1), RPoint(2)], [SPoint([]), RPoint(1)],
+    [RPoint(1), SPoint([1])], [RPoint(5)], [SPoint([1, OMEGA])], [RPoint(OMEGA_STAR), RPoint(OMEGA)], [],
+])
+def test_validators_and_expansions_read_points_once(points):
+    # valid points, points that validation refuses, and labels out of range, through every reader
+    for call in POINT_READERS:
+        assert_read_once(call, points)
+
+
+def test_an_expansion_returns_the_tuple_it_read():
+    for call, constrained, points in [(expand_model, True, [RPoint(1), SPoint([2, 3])]),
+                                      (expand_colored, False, [RPoint(1), RPoint(2)])]:
+        for form in (list, iter):
+            got = held(call, constrained)(form(points))
+            assert type(got) is tuple and got == tuple(points)
 
 
 def test_walk_diagnoses_what_the_decision_refuses():
@@ -263,23 +308,44 @@ def test_walk_diagnoses_what_the_decision_refuses():
         ("Tprime.7", (0, 1), "color True reused at 0 and 1"),
     )
     assert validate_description([RPoint(1), RPoint(1)]).axioms() == {"T.4", "T.disjoint"}
-    # a one-shot iterator is read once, by the walk: the decision would have used up what the walk must report on
+    # a one-shot iterator is read once, into the tuple that is decided and then diagnosed
     assert validate_colored_description(iter([SPoint([]), RPoint(1)])).axioms() == {"T.shuffle_empty"}
     assert validate_model(tuple.__new__(MulticoloredModel, (0, iter([RPoint(1)]), False))).axioms() == {"Tprime.range"}
     assert contract_colored([RPoint(1), SPoint([2])], 2) == MulticoloredModel(2, [RPoint(1), SPoint([2])], False)
+
+
+def test_diagnosis_reports_labels_at_their_first_position_and_every_adjacent_pair():
+    # each format's label rule names a reused label where it first appears, after the reuse itself
+    assert validate_model(MulticoloredModel(2, [RPoint(5), SPoint([5])], True)).violations == (
+        ("Tprime.7", (0, 1), "color 5 reused at 0 and 1"), ("Tprime.range", (0,), "color 5 at 0 outside 1..2"),
+    )
+    assert validate_description([RPoint(0), SPoint([0, 1])]).violations == (
+        ("T.disjoint", (0, 1), "kind {'finite': 0} reused at 0 and 1"),
+        ("T.finite_size", (0,), "finite kind of size 0 at 0"),
+    )
+    assert validate_colored_description([SPoint([True]), RPoint(True)]).violations == (
+        ("T.disjoint", (0, 1), "color True reused at 0 and 1"), ("T.color", (0,), "label True at 0 is not a color"),
+    )
+    # and each pair rule reaches the last two points
+    assert validate_description([SPoint([1]), RPoint(OMEGA_STAR), RPoint(2)]).violations == (
+        ("T.6", (1, 2), "omega-star before finite at 1,2"),
+    )
+    assert validate_model(MulticoloredModel(3, [SPoint([1]), RPoint(2), RPoint(3)], True)).violations == (
+        ("Tprime.3b", (1, 2), "consecutive R-points at 1,2"),
+    )
 
 
 def test_valid_inputs_are_decided_without_the_walk(monkeypatch):
     def walk(*args):
         raise AssertionError("a valid input was walked")
 
-    monkeypatch.setattr(model, "_walk", walk)
+    monkeypatch.setattr(model, "_diagnose", walk)
     for k in range(5):
         for m in enumerate_models(k, True):
-            assert validate_model(m) == validate_description(m.points) == ((),)
+            assert validate_model(m) == validate_description(m.points) == validate_description(iter(m.points)) == ((),)
             assert contract_description(expand_model(m), k) == m
         for m in enumerate_models(k, False):
-            assert validate_model(m) == validate_colored_description(m.points) == ((),)
+            assert validate_model(m) == validate_colored_description(iter(m.points)) == ((),)
             assert contract_colored(expand_colored(m), k) == m
 
 
