@@ -41,12 +41,14 @@ def lambert_w0(t: float) -> float:
     if t == 0:
         return 0.0
     t = float(t)
-    w = math.log1p(t)
+    w, previous, before = math.log1p(t), math.nan, math.nan
     for _ in range(50):
         f = w - t * math.exp(-w)
         step = f / ((w + 1) - (w + 2) * f / (2 * (w + 1)))
-        w -= step
-        if abs(step) < 1e-15:
+        before, previous, w = previous, w, w - step
+        # past w = 8 one ulp of w is above 1e-15, so rounding can leave w cycling between
+        # two doubles: it is then back at its value of two steps before
+        if abs(step) < 1e-15 or w == before:
             break
     return w
 

@@ -5,31 +5,31 @@ coefficient of x^j. Arithmetic between series of different orders truncates to
 the smaller order. Everything is exact: a non-integer where an integer count
 is expected is reported as an error, never rounded.
 
-The three counting series:
+The three counting series are quotients N/D of exp-polynomials, each one
+division on integer EGF numerators (_quotient):
 
-* egf_f: 1/(2 - x - e^x) = 1/(1 - g) with g = e^x + x - 1, built by Horner's
-  rule r <- 1 + g*r on integer EGF numerators; its coefficient counts (k! times
-  coefficient k) are j_surjective.
-* egf_H: e^x / (2 - x - e^x), built as e^x times the reciprocal of the
-  denominator; its counts are count_L.
+* egf_f: 1/(2 - x - e^x); its coefficient counts (k! times coefficient k) are
+  j_surjective.
+* egf_H: e^x / (2 - x - e^x); its counts are count_L.
 * egf_fubini: 1/(2 - e^x); its counts are the ordered set partition numbers.
 
-The two denominators that are inverted, 2 - x - e^x and 2 - e^x, are each
-2 + c1*x - e^x and come from one function, _exp_line.
+Both denominators, 2 - x - e^x and 2 - e^x, are 2 + c1*x - e^x, whose
+numerators 1, c1 - 1, -1, -1, ... come from one function, _denominator.
 
-egf_f deliberately does not call ps_reciprocal: as long as it reaches f by its
-own Horner loop, the identity H = exp * f (verify's "EGF product identity")
-cross-checks ps_reciprocal and ps_mul against that loop. Built as a reciprocal,
-f would make the identity check ps_reciprocal against itself.
+Internally, coefficients 0..n are integer EGF numerators x[j] = c_j*j!*d over
+one denominator d, the lcm of the denominators of c_j*j!, which is 1 for every
+counting EGF. On that form a product is the binomial convolution
+z_m = sum_i C(m, i)*x_i*y_(m-i) (ps_mul), and a quotient N/X the integer
+recurrence that inverts it (_quotient; ps_reciprocal is N = 1). Each output
+coefficient is one Fraction, reduced once: a Fraction product and sum per term
+would pay a gcd per term. Binomial rows, factorials and powers are built inside
+each call; nothing is cached between calls.
 
-ps_mul, ps_reciprocal and egf_f share one internal form: coefficients 0..n as
-integer EGF numerators x[j] = c_j*j!*d over one denominator d, the lcm of the
-denominators of c_j*j!, which is 1 for every counting EGF. On that form a
-product is the binomial convolution z_m = sum_i C(m, i)*x_i*y_(m-i), the
-reciprocal an integer recurrence and egf_f's loop one such convolution per
-step, and each output coefficient is one Fraction, reduced once. A Fraction
-product and sum per term would pay a gcd per term. Binomial rows, factorials
-and powers are built inside each call; nothing is cached between calls.
+No builder calls ps_mul, ps_exp or ps_reciprocal, so each primitive has a check
+that does not run it: verify's "EGF product identity" H = exp * f tests ps_mul
+and ps_exp against the division, "series ring identities" tests ps_reciprocal
+against ps_mul, and the three "EGF ... coefficient counts" checks test each
+builder, and so the division, against the recurrences.
 
 The three builders, the two primitives that take an order (ps_constant and
 ps_exp) and verify.run_checks refuse an order that is no int in
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -50,8 +50,8 @@ from homcount.combinatorics import factorial, nonnegative
 
 Coefficient = Union[Fraction, int]
 
-# egf_f, the slowest builder, takes about 0.07 s at order 120 (Python 3.11, 2-core VM)
-# and grows about as order^3 past that
+# each builder takes about 2 ms at order 120 (Python 3.11, 2-core VM), growing about as
+# order^1.9 over orders 30..120
 MAX_ORDER = 120
 
 
@@ -124,29 +124,31 @@ def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return _from_numerators(z, da * db)
 
 
-def ps_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """b with a*b = 1 up to the truncation order, from the integer recurrence
-    v_m = -sum_(i>=1) C(m, i)*x_i*x_0^(i-1)*v_(m-i), v_0 = 1, on a's numerators x over d;
-    then b_m = d*v_m / (x_0^(m+1)*m!), so b's numerators over x_0^(order+1) are
-    d*v_m*x_0^(order-m)."""
-    if a.coeffs[0] == 0:
-        raise ValueError("series not invertible: zero constant term")
-    x, d = _numerators(a, a.order)
-    powers = list(accumulate([x[0]] * a.order, mul, initial=1))  # x_0^0 .. x_0^order
+def _quotient(n: list[int], x: list[int], d: int) -> TruncatedSeries:
+    """N/X to X's order, for N's numerators n over 1 and X's numerators x over d with
+    x_0 != 0, from the integer recurrence
+    v_m = n_m*x_0^m - sum_(i>=1) C(m, i)*x_i*x_0^(i-1)*v_(m-i);
+    then coefficient m is d*v_m / (x_0^(m+1)*m!), so the numerators over
+    x_0^(order+1) are d*v_m*x_0^(order-m)."""
+    order = len(x) - 1
+    powers = list(accumulate([x[0]] * order, mul, initial=1))  # x_0^0 .. x_0^order
     w = list(map(mul, x[1:], powers))  # w_i = x_i*x_0^(i-1) from i = 1
-    v = [1]
-    for row in islice(_pascal(a.order), 1, None):
-        v.append(-sum(map(mul, row[1:], map(mul, w, v[::-1]))))
+    v = []
+    for nm, p, row in zip(n, powers, _pascal(order)):
+        v.append(nm * p - sum(map(mul, row[1:], map(mul, w, v[::-1]))))
     return _from_numerators([d * vm * p for vm, p in zip(v, reversed(powers))], powers[-1] * x[0])
 
 
-def _exp_line(c1: int, order: int) -> TruncatedSeries:
-    """2 + c1*x - e^x to the given order: coefficient j is -1/j!, plus 2 at
-    j = 0 and c1 at j = 1."""
-    coeffs = [Fraction(-1, factorial(j)) for j in range(order + 1)]
-    for j, c in zip(range(order + 1), (2, c1)):
-        coeffs[j] += c
-    return TruncatedSeries(coeffs)
+def ps_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
+    """b with a*b = 1 up to the truncation order: the quotient 1/a."""
+    if a.coeffs[0] == 0:
+        raise ValueError("series not invertible: zero constant term")
+    return _quotient([1] + [0] * a.order, *_numerators(a, a.order))
+
+
+def _denominator(c1: int, order: int) -> list[int]:
+    """EGF numerators of 2 + c1*x - e^x to the given order: 1, c1 - 1, then -1."""
+    return [1, c1 - 1, *[-1] * order][: order + 1]
 
 
 def check_order(order: int) -> None:
@@ -157,32 +159,21 @@ def check_order(order: int) -> None:
 
 
 def egf_f(order: int) -> TruncatedSeries:
-    """1/(2 - x - e^x): coefficient counts are the surjective model numbers.
-
-    Horner's rule for 1/(1 - g) = 1 + g*(1 + g*(...)), g = e^x + x - 1, run on
-    EGF numerators over 1: g's are 0, 2, 1, 1, ..., and step m sets
-    r_j = [j = 0] + sum_(i>=1) C(j, i)*g_i*r_(j-i) for j <= m. Each step left
-    after step m multiplies r by g, which has no constant term, so r is kept to
-    order m there."""
+    """1/(2 - x - e^x): coefficient counts are the surjective model numbers."""
     check_order(order)
-    g = [2] + [1] * order  # numerators of g from j = 1
-    r = [1]
-    for _ in range(order):
-        r = [1] + [sum(map(mul, row[1:], map(mul, g, r[j - 1::-1])))
-                   for j, row in enumerate(islice(_pascal(len(r)), 1, None), 1)]
-    return _from_numerators(r, 1)
+    return _quotient([1] + [0] * order, _denominator(-1, order), 1)
 
 
 def egf_H(order: int) -> TruncatedSeries:
     """e^x / (2 - x - e^x): coefficient counts are the k-colored ordering numbers."""
     check_order(order)
-    return ps_mul(ps_exp(order), ps_reciprocal(_exp_line(-1, order)))
+    return _quotient([1] * (order + 1), _denominator(-1, order), 1)
 
 
 def egf_fubini(order: int) -> TruncatedSeries:
     """1/(2 - e^x): coefficient counts are the ordered set partition numbers."""
     check_order(order)
-    return ps_reciprocal(_exp_line(0, order))
+    return _quotient([1] + [0] * order, _denominator(0, order), 1)
 
 
 def egf_counts(s: TruncatedSeries, k: int) -> int:

@@ -46,6 +46,18 @@ def test_lambert_near_the_top_of_the_double_range():
         assert abs(w + math.log(w) - math.log(t)) < 1e-12, t
 
 
+def test_lambert_stops_when_rounding_cycles(monkeypatch):
+    # at t = 1e12, w is about 24.4, whose ulp is above 1e-15, so rounding can leave w cycling between two doubles
+    # with every step above the tolerance; each Halley step calls math.exp once, so the count is the number of steps
+    calls = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+    w = lambert_w0(1e12)
+    monkeypatch.undo()
+    assert len(calls) <= 8
+    assert abs(w + math.log(w) - math.log(1e12)) < 1e-12
+
+
 def test_constants_reference_digits():
     c = constants()
     assert c.Z == pytest.approx(0.442854, abs=1e-5)

@@ -130,8 +130,8 @@ def reciprocal_oracle(a):
 
 
 def compose_oracle(outer, inner):
-    """outer(inner(x)) by a Fraction Horner loop over cauchy_product_oracle, independent of egf_f's loop on
-    integer EGF numerators."""
+    """outer(inner(x)) by a Fraction Horner loop over cauchy_product_oracle, independent of egf_f's division
+    on integer EGF numerators."""
     order = min(len(outer), len(inner)) - 1
     result = [outer[order]] + [Fraction(0)] * order
     for j in range(order - 1, -1, -1):
@@ -155,8 +155,23 @@ def test_reciprocal_matches_its_fraction_oracle():
             assert list(ps_reciprocal(TruncatedSeries(a)).coeffs) == reciprocal_oracle(a)
 
 
+def test_quotient_matches_its_fraction_oracle():
+    # no public caller divides a numerator other than 1 by a constant term other than 1, so the x_0^m that scales
+    # n_m is reached only here
+    rng = random.Random(3401)
+    for x0 in (1, -1, 3, -5, 2):
+        for d in (1, 3, 7):
+            for length in (1, 2, 5, 13):
+                n = [rng.randint(-30, 30) for _ in range(length)]
+                x = [x0 * d] + [rng.randint(-30, 30) for _ in range(length - 1)]
+                numerator = [frac(v, math.factorial(j)) for j, v in enumerate(n)]
+                denominator = [frac(v, math.factorial(j) * d) for j, v in enumerate(x)]
+                expected = cauchy_product_oracle(numerator, reciprocal_oracle(denominator), length - 1)
+                assert list(series._quotient(n, x, d).coeffs) == expected
+
+
 def test_compose_matches_its_fraction_oracle():
-    # egf_f is 1/(1 - x) composed with g = e^x + x - 1; every order, since the loop's step count is the order
+    # egf_f is 1/(1 - x) composed with g = e^x + x - 1; every order, since the division's length is the order
     for n in range(31):
         g = [frac(0), frac(2)] + [frac(1, math.factorial(j)) for j in range(2, n + 1)]
         assert list(egf_f(n).coeffs) == compose_oracle([frac(1)] * (n + 1), g)
@@ -219,20 +234,22 @@ def test_fubini_counts_match_recurrence():
 
 
 def test_H_is_exp_times_f():
-    # reciprocal route (H) against egf_f's Horner loop
+    # ps_mul and ps_exp against the division both builders run
     for order in (0, 1, 5, 12, N, 40, MAX_ORDER):
         assert egf_H(order) == ps_mul(ps_exp(order), egf_f(order))
 
 
-def test_f_does_not_take_the_reciprocal_route(monkeypatch):
-    # H = exp * f cross-checks ps_reciprocal only while egf_f reaches f without it
-    def refuse(a):
-        raise AssertionError("ps_reciprocal called")
+def test_builders_divide_without_the_primitives(monkeypatch):
+    # H = exp * f checks ps_mul and ps_exp, and the ring identities check ps_reciprocal, only while no builder
+    # runs them
+    def refuse(*args):
+        raise AssertionError("a series primitive was called")
 
-    monkeypatch.setattr(series, "ps_reciprocal", refuse)
-    assert egf_counts(egf_f(30), 30) == j_surjective(30)
-    with pytest.raises(AssertionError, match="^ps_reciprocal called$"):
-        egf_H(30)
+    for name in ("ps_mul", "ps_exp", "ps_reciprocal"):
+        monkeypatch.setattr(series, name, refuse)
+    H, f, h = egf_H(30), egf_f(30), egf_fubini(30)
+    for k in range(31):
+        assert (egf_counts(H, k), egf_counts(f, k), egf_counts(h, k)) == (count_L(k), j_surjective(k), fubini(k))
 
 
 def test_builders_refuse_orders_above_the_bound():
