@@ -6,7 +6,8 @@ exact decimals (JSON exports carry them as strings, since they outgrow 53-bit
 floats early). Exit codes: 0 success, 1 check or runtime failure (a reader
 that closes stdout early among them), 2 usage error. `--cap` on count,
 enumerate and verify, the commands that walk, is the one way to raise or
-lower the brute-force cap of 7.
+lower the brute-force cap of 7. Each subparser carries its command's handler
+(set_defaults), and main calls the one that the parsed arguments hold.
 
 `count` and `export` read routes.ROUTES, the one table of counted sequences:
 `--sequence` accepts exactly its keys, `count` checks the method against it
@@ -65,42 +66,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="print one sequence value")
+    p.set_defaults(handler=cmd_count)
     p.add_argument("--sequence", type=_sequence, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=["recurrence", "closed-form", "egf", "brute-force"])
     p.add_argument("--cap", type=int, help="brute-force cap override (default 7)")
 
     p = sub.add_parser("enumerate", help="stream models as JSON lines")
+    p.set_defaults(handler=cmd_enumerate)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--unconstrained", action="store_true", help="drop the R-adjacency rule")
     p.add_argument("--cap", type=int)
 
     p = sub.add_parser("verify", help="run the full cross-check battery")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("--k-max", type=int, default=25)
     p.add_argument("--terms", type=int, default=25, help="generating-function order")
     p.add_argument("--cap", type=int)
 
     p = sub.add_parser("export", help="write a sequence as b-file, csv, or json")
+    p.set_defaults(handler=cmd_export)
     p.add_argument("--sequence", type=_sequence, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--format", choices=["b-file", "csv", "json"], required=True)
     p.add_argument("--output", default="-", help="destination path, - for stdout")
 
     p = sub.add_parser("series", help="print a generating-function coefficient table")
+    p.set_defaults(handler=cmd_series)
     p.add_argument("--egf", choices=["H", "f", "fubini"], default="H")
     p.add_argument("--terms", type=int, default=10)
 
     p = sub.add_parser("asymptotic", help="singularity-analysis numbers")
-    asub = p.add_subparsers(dest="asymptotic_command", required=True)
-    asub.add_parser("constants", help="pole, residues, limit ratio, growth bound")
-    pr = asub.add_parser("ratios", help="convergence table L/A and J/L")
-    pr.add_argument("--k-max", type=int, default=12)
+    asub = p.add_subparsers(dest="asymptotic_command", required=True)  # dest: the name a usage error gives
+    asub.add_parser("constants", help="pole, residues, limit ratio, growth bound").set_defaults(handler=cmd_constants)
+    p = asub.add_parser("ratios", help="convergence table L/A and J/L")
+    p.set_defaults(handler=cmd_ratios)
+    p.add_argument("--k-max", type=int, default=12)
 
     p = sub.add_parser("expand", help="model JSON -> description JSON")
+    p.set_defaults(handler=cmd_expand)
     p.add_argument("--input", default="-")
     p.add_argument("--output", default="-")
 
     p = sub.add_parser("contract", help="description JSON -> model JSON")
+    p.set_defaults(handler=cmd_contract)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--unconstrained", action="store_true", help="input is a colored description")
     p.add_argument("--input", default="-")
@@ -174,13 +183,17 @@ def cmd_series(args) -> int:
     return 0
 
 
-def cmd_asymptotic(args) -> int:
+def cmd_constants(args) -> int:
     from homcount import asymptotics
 
-    if args.asymptotic_command == "constants":
-        for name, value in asymptotics.constants()._asdict().items():
-            print(f"{name.ljust(11)} = {value:.10g}")
-        return 0
+    for name, value in asymptotics.constants()._asdict().items():
+        print(f"{name.ljust(11)} = {value:.10g}")
+    return 0
+
+
+def cmd_ratios(args) -> int:
+    from homcount import asymptotics
+
     rows = asymptotics.ratio_report(args.k_max)
     print(f"{'k'.rjust(3)}  {'L(k)/A(k)'.ljust(18)}  {'J(k)/L(k)'.ljust(18)}")
     for row in rows:
@@ -246,23 +259,11 @@ def cmd_contract(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "count": cmd_count,
-    "enumerate": cmd_enumerate,
-    "verify": cmd_verify,
-    "export": cmd_export,
-    "series": cmd_series,
-    "asymptotic": cmd_asymptotic,
-    "expand": cmd_expand,
-    "contract": cmd_contract,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
         return code
     except BrokenPipeError:  # the reader left early, as `| head` does

@@ -21,16 +21,23 @@ own tuple of points without k. Its rules are that no color repeats and no
 shuffle is empty. Descriptions of both kinds, and finite colored orderings (a
 color per position), are plain tuples; their names are type aliases.
 
-One point codec writes and reads all three wire formats. They differ in their
-type tags ("R"/"S" for models, "block"/"shuffle" for descriptions of both
-kinds), their label field ("color" or "kind"; a set's field adds "s") and
-their label codec: a color is a JSON integer, a kind is {"finite": size} or
-the name of an infinite kind. A codec takes a point's whole label sequence in
-one call and handles the common label inline, without a Python call per
-label: the color codec tests ``type(x) is int``, the kind reader takes a
-one-key {"finite": size} dict with an int size. Any other label goes through
-combinatorics.integer or kind_from_json, which refuse it with the reader's
-message.
+One point writer and one point reader serve all three wire formats, and each
+format is one _Format row (_MODEL, _DESCRIPTION, _COLORED) that states, once,
+what sets it apart: the document key ("points" for models, "segments" for
+descriptions of both kinds) and the name a refusal gives the document
+("malformed model JSON: ..."); the type tags ("R"/"S" for models,
+"block"/"shuffle" for descriptions); the label field ("color" or "kind"), its
+set field ("colors" or "kinds") and the noun of a label in a set ("a color in
+colors"), which only the color codec's refusals name; and the label codec: a
+color is a JSON integer, a kind is {"finite": size} or the name of an infinite
+kind. The reader owns the document-key lookup and the malformed-document rule,
+and each writer takes the document key from its row, so each public reader and
+writer is one call with its row. A codec takes a
+point's whole label sequence in one call and handles the common label inline,
+without a Python call per label: the color codec tests ``type(x) is int``, the
+kind reader takes a one-key {"finite": size} dict with an int size. Any other
+label goes through combinatorics.integer or kind_from_json, which refuse it
+with the reader's message.
 
 An S-point stores its label set once, as a tuple in kind_key order (colors
 ascending, then omega, omega*, zeta, then any label that is no block kind, by
@@ -88,7 +95,7 @@ R-points. Each violation carries a machine-readable axiom identifier:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from homcount.combinatorics import boolean, integer, nonnegative
 
@@ -396,22 +403,29 @@ def _kinds_from_json(values: list, noun: str) -> list:
             for x in values]
 
 
-# A label codec: the wire field of one label (a set's field adds "s"), the
-# encoder and the decoder of a sequence of labels. Each is given the labels
-# and the noun that an error names them by, and handles the common label
-# (an int) without a Python call. The encoder refuses what the decoder would
-# refuse, so no writer emits a document that its reader refuses.
-_COLORS = ("color", _ints, _ints)
-_KINDS = ("kind", _kinds_to_json, _kinds_from_json)
+# A wire format, stated once as a row: the document key that holds the points
+# and the name a refusal gives the document; the R-point and S-point type tags;
+# the label field, its set field and the noun of a label in a set; and the label
+# codec, an encoder and a decoder of a sequence of labels. Each codec function
+# is given the labels and the noun, and handles the common label (an int)
+# without a Python call. The color codec names a refused label by the noun; the
+# kind codec names it by its encoding, so a kind row's noun reaches no message.
+# The encoder refuses what the decoder would refuse, so no writer emits a
+# document that its reader refuses.
+_Format = NamedTuple("_Format", [("key", str), ("name", str), ("r_tag", str), ("s_tag", str), ("field", str),
+                                 ("fields", str), ("in_set", str), ("write", Callable), ("read", Callable)])
+_MODEL = _Format("points", "model", "R", "S", "color", "colors", "a color in colors", _ints, _ints)
+_DESCRIPTION = _Format("segments", "description", "block", "shuffle", "kind", "kinds", "a kind in kinds",
+                       _kinds_to_json, _kinds_from_json)
+# a colored description is written as a model's points under a description's key and tags
+_COLORED = _MODEL._replace(key="segments", name="colored description", r_tag="block", s_tag="shuffle")
 
 
-def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str, codec: tuple) -> list:
-    """The wire form of `points`, each tagged `r_tag` (R-point) or `s_tag`
-    (S-point), with its labels encoded by `codec`; a label the codec refuses is
-    a ValueError."""
-    field, write, _ = codec
-    fields = field + "s"
-    in_set = f"a {field} in {fields}"
+def _points_to_json(points: Iterable[Point], fmt: _Format) -> list:
+    """The wire form of `points` in the format `fmt`, each tagged by the row's
+    R-point or S-point tag, with its labels encoded by the row's codec; a label
+    the codec refuses is a ValueError."""
+    r_tag, s_tag, field, fields, write = fmt.r_tag, fmt.s_tag, fmt.field, fmt.fields, fmt.write
     bare = write is _ints  # an int color is its own wire form: an R-point's is written inline
     out = []
     for p in points:
@@ -419,38 +433,41 @@ def _points_to_json(points: Iterable[Point], r_tag: str, s_tag: str, codec: tupl
             x = p.color
             out.append({"type": r_tag, field: x if bare and type(x) is int else write((x,), field)[0]})
         else:
-            out.append({"type": s_tag, fields: write(p.colors, in_set)})
+            out.append({"type": s_tag, fields: write(p.colors, fmt.in_set)})
     return out
 
 
-def _points_from_json(entries: list, r_tag: str, s_tag: str, codec: tuple) -> tuple[Point, ...]:
-    """Inverse of _points_to_json; an entry of another type, a label the codec
-    refuses and a set that lists a label twice are refused."""
-    field, _, read = codec
-    fields = field + "s"
-    in_set = f"a {field} in {fields}"
+def _points_from_json(data: dict, fmt: _Format) -> tuple[Point, ...]:
+    """The points of the document `data` in the format `fmt`, the inverse of
+    _points_to_json. A points value that is no list, an entry of another type,
+    a label the codec refuses and a set that lists a label twice are refused by
+    name; a missing key or a value of the wrong shape is _malformed."""
+    key, r_tag, s_tag, field, fields, read = fmt.key, fmt.r_tag, fmt.s_tag, fmt.field, fmt.fields, fmt.read
     bare = read is _ints  # an int color is its own wire form: an R-point's is read inline
     points: list[Point] = []
-    for entry in entries:
-        tag = entry["type"]
-        if tag == r_tag:
-            x = entry[field]
-            points.append(tuple.__new__(RPoint, (x if bare and type(x) is int else read([x], field)[0],)))
-        elif tag == s_tag:
-            listed = _list(entry[fields], fields)
-            point = SPoint(read(listed, in_set))
-            if len(point.colors) != len(listed):
-                raise ValueError(f"{fields} repeats an entry: {listed!r}")
-            points.append(point)
-        else:
-            raise ValueError(f"unknown {'point' if r_tag == 'R' else 'segment'} type {tag!r}")
+    try:
+        for entry in _list(data[key], key):
+            tag = entry["type"]
+            if tag == r_tag:
+                x = entry[field]
+                points.append(tuple.__new__(RPoint, (x if bare and type(x) is int else read([x], field)[0],)))
+            elif tag == s_tag:
+                listed = _list(entry[fields], fields)
+                point = SPoint(read(listed, fmt.in_set))
+                if len(point.colors) != len(listed):
+                    raise ValueError(f"{fields} repeats an entry: {listed!r}")
+                points.append(point)
+            else:
+                raise ValueError(f"unknown {key[:-1]} type {tag!r}")  # a point or a segment
+    except (KeyError, TypeError) as exc:
+        raise _malformed(fmt, exc) from exc
     return tuple(points)
 
 
-def _malformed(what: str, exc: Exception) -> ValueError:
-    """The error a reader raises when `data` lacks a key or has the wrong shape."""
-    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-    return ValueError(f"malformed {what} JSON: {detail}")
+def _malformed(fmt: _Format, exc: Exception) -> ValueError:
+    """The error a reader of the format `fmt` raises when its document lacks a
+    key or has the wrong shape; it names the document by the row's name."""
+    return ValueError(f"malformed {fmt.name} JSON: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}")
 
 
 def model_to_dict(m: MulticoloredModel) -> dict:
@@ -458,37 +475,30 @@ def model_to_dict(m: MulticoloredModel) -> dict:
     refuse is refused here with the reader's message."""
     k = nonnegative(m.k, "k")
     constrained = boolean(m.adjacency_constrained, "adjacency_constrained")
-    points = _points_to_json(m.points, "R", "S", _COLORS)
-    return {"k": k, "adjacency_constrained": constrained, "points": points}
+    return {"k": k, "adjacency_constrained": constrained, _MODEL.key: _points_to_json(m.points, _MODEL)}
 
 
 def model_from_dict(data: dict) -> MulticoloredModel:
     try:
         k = nonnegative(data["k"], "k")
         constrained = boolean(data["adjacency_constrained"], "adjacency_constrained")
-        points = _points_from_json(_list(data["points"], "points"), "R", "S", _COLORS)
     except (KeyError, TypeError) as exc:
-        raise _malformed("model", exc) from exc
-    return tuple.__new__(MulticoloredModel, (k, points, constrained))  # the reader's points are a tuple
+        raise _malformed(_MODEL, exc) from exc
+    # the reader's points are a tuple, so the model skips its normalizing constructor
+    return tuple.__new__(MulticoloredModel, (k, _points_from_json(data, _MODEL), constrained))
 
 
 def description_to_dict(d: OrderingDescription) -> dict:
-    return {"segments": _points_to_json(d, "block", "shuffle", _KINDS)}
+    return {_DESCRIPTION.key: _points_to_json(d, _DESCRIPTION)}
 
 
 def description_from_dict(data: dict) -> OrderingDescription:
-    try:
-        return _points_from_json(_list(data["segments"], "segments"), "block", "shuffle", _KINDS)
-    except (KeyError, TypeError) as exc:
-        raise _malformed("description", exc) from exc
+    return _points_from_json(data, _DESCRIPTION)
 
 
 def colored_description_to_dict(d: ColoredDescription) -> dict:
-    return {"segments": _points_to_json(d, "block", "shuffle", _COLORS)}
+    return {_COLORED.key: _points_to_json(d, _COLORED)}
 
 
 def colored_description_from_dict(data: dict) -> ColoredDescription:
-    try:
-        return _points_from_json(_list(data["segments"], "segments"), "block", "shuffle", _COLORS)
-    except (KeyError, TypeError) as exc:
-        raise _malformed("colored description", exc) from exc
+    return _points_from_json(data, _COLORED)

@@ -111,8 +111,9 @@ def _numerators(s: TruncatedSeries, n: int) -> tuple[list[int], int]:
 
 
 def _from_numerators(x: list[int], d: int) -> TruncatedSeries:
-    """The series whose coefficient j is x[j] / (j!*d), one reduced Fraction each."""
-    return TruncatedSeries(Fraction(v, f * d) for v, f in zip(x, _factorials(len(x) - 1)))
+    """The series whose coefficient j is x[j] / (j!*d), one reduced Fraction each,
+    wrapped by tuple.__new__: TruncatedSeries.__new__ would convert each one again."""
+    return tuple.__new__(TruncatedSeries, (tuple(Fraction(v, f * d) for v, f in zip(x, _factorials(len(x) - 1))),))
 
 
 def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -225,6 +225,16 @@ def test_unknown_sequence_is_usage_error():
     )
 
 
+@pytest.mark.parametrize("argv,missing", [([], "homcount: error: the following arguments are required: command"),
+                                          (["asymptotic"], "homcount asymptotic: error: the following arguments "
+                                                           "are required: asymptotic_command")])
+def test_a_missing_subcommand_is_a_usage_error(argv, missing):
+    # argparse names a missing subcommand by its subparsers' dest; no handler reads either dest
+    code, out, err = run_on_stdin(argv, "")
+    assert (code, out) == (2, "")
+    assert err.endswith(missing + "\n")
+
+
 def test_enumerate_streams_json_lines(capsys):
     code, out, _ = run(capsys, "enumerate", "--k", "1")
     assert code == 0

@@ -606,20 +606,70 @@ def test_model_writer_refuses_the_flag_its_reader_refuses(constrained):
         model_from_dict({"k": 2, "adjacency_constrained": constrained, "points": [{"type": "R", "color": 1}]})
 
 
+def _refused(read, doc, message: str) -> None:
+    with pytest.raises(ValueError) as info:
+        read(doc)
+    assert str(info.value) == message, doc
+
+
+_MODEL_HEAD = {"k": 1, "adjacency_constrained": False}
+
+
 def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        model_from_dict({"k": 1, "points": []})  # missing flag
-    with pytest.raises(ValueError):
-        model_from_dict({"k": 1, "adjacency_constrained": True, "points": [{"type": "Q"}]})
-    with pytest.raises(ValueError):
-        description_from_dict({"segments": [{"type": "block", "kind": "sideways"}]})
-    # one point reader serves both formats; each names its own entry type
-    with pytest.raises(ValueError, match="^unknown point type 'block'$"):
-        model_from_dict({"k": 1, "adjacency_constrained": False, "points": [{"type": "block", "color": 1}]})
-    with pytest.raises(ValueError, match="^unknown segment type 'R'$"):
-        colored_description_from_dict({"segments": [{"type": "R", "color": 1}]})
-    with pytest.raises(ValueError, match="^unknown segment type 'R'$"):
-        description_from_dict({"segments": [{"type": "R", "kind": "omega"}]})
+    # one reader serves the three formats: each refusal names the format's document, key and entry type
+    for read, doc, message in [
+        (model_from_dict, [], "malformed model JSON: list indices must be integers or slices, not str"),
+        (model_from_dict, None, "malformed model JSON: 'NoneType' object is not subscriptable"),
+        (model_from_dict, {"adjacency_constrained": False, "points": []}, "malformed model JSON: missing key 'k'"),
+        (model_from_dict, {"k": 1, "points": []}, "malformed model JSON: missing key 'adjacency_constrained'"),
+        (model_from_dict, _MODEL_HEAD, "malformed model JSON: missing key 'points'"),
+        (model_from_dict, {**_MODEL_HEAD, "points": "12"}, "points must be a list, got '12'"),
+        (model_from_dict, {**_MODEL_HEAD, "points": [None]},
+         "malformed model JSON: 'NoneType' object is not subscriptable"),
+        (model_from_dict, {**_MODEL_HEAD, "points": [[]]},
+         "malformed model JSON: list indices must be integers or slices, not str"),
+        (model_from_dict, {**_MODEL_HEAD, "points": [{}]}, "malformed model JSON: missing key 'type'"),
+        (model_from_dict, {**_MODEL_HEAD, "points": [{"type": "Q"}]}, "unknown point type 'Q'"),
+        (model_from_dict, {**_MODEL_HEAD, "points": [{"type": "block", "color": 1}]}, "unknown point type 'block'"),
+        (model_from_dict, {**_MODEL_HEAD, "points": [{"type": "R"}]}, "malformed model JSON: missing key 'color'"),
+        (model_from_dict, {**_MODEL_HEAD, "points": [{"type": "S", "color": 1}]},
+         "malformed model JSON: missing key 'colors'"),
+        (description_from_dict, [], "malformed description JSON: list indices must be integers or slices, not str"),
+        (description_from_dict, None, "malformed description JSON: 'NoneType' object is not subscriptable"),
+        (description_from_dict, {}, "malformed description JSON: missing key 'segments'"),
+        (description_from_dict, {"segments": "none"}, "segments must be a list, got 'none'"),
+        (description_from_dict, {"segments": [None]},
+         "malformed description JSON: 'NoneType' object is not subscriptable"),
+        (description_from_dict, {"segments": [{}]}, "malformed description JSON: missing key 'type'"),
+        (description_from_dict, {"segments": [{"type": "R", "kind": "omega"}]}, "unknown segment type 'R'"),
+        (description_from_dict, {"segments": [{"type": "block", "color": 1}]},
+         "malformed description JSON: missing key 'kind'"),
+        (description_from_dict, {"segments": [{"type": "shuffle", "colors": [1]}]},
+         "malformed description JSON: missing key 'kinds'"),
+        (description_from_dict, {"segments": [{"type": "block", "kind": "sideways"}]},
+         "unknown block kind encoding 'sideways'"),
+        (colored_description_from_dict, [],
+         "malformed colored description JSON: list indices must be integers or slices, not str"),
+        (colored_description_from_dict, None,
+         "malformed colored description JSON: 'NoneType' object is not subscriptable"),
+        (colored_description_from_dict, {}, "malformed colored description JSON: missing key 'segments'"),
+        (colored_description_from_dict, {"segments": {}}, "segments must be a list, got {}"),
+        (colored_description_from_dict, {"segments": [None]},
+         "malformed colored description JSON: 'NoneType' object is not subscriptable"),
+        (colored_description_from_dict, {"segments": [{}]}, "malformed colored description JSON: missing key 'type'"),
+        (colored_description_from_dict, {"segments": [{"type": "R", "color": 1}]}, "unknown segment type 'R'"),
+        (colored_description_from_dict, {"segments": [{"type": "block", "kind": 1}]},
+         "malformed colored description JSON: missing key 'color'"),
+        (colored_description_from_dict, {"segments": [{"type": "shuffle"}]},
+         "malformed colored description JSON: missing key 'colors'"),
+    ]:
+        _refused(read, doc, message)
+    with pytest.raises(ValueError) as info:  # a shape error keeps the TypeError or KeyError it came from
+        description_from_dict({"segments": [None]})
+    assert type(info.value.__cause__) is TypeError
+    with pytest.raises(ValueError) as info:
+        model_from_dict({"k": 1, "points": []})
+    assert type(info.value.__cause__) is KeyError
 
 
 @pytest.mark.parametrize("encoding", [3, 1, "omega_plus", {"finite": 1, "x": 2}], ids=repr)
@@ -634,18 +684,29 @@ def test_kind_decoder_refuses_what_encodes_no_kind(field, encoding):
 def test_json_rejects_wrong_types():
     model = {"k": 2, "adjacency_constrained": False, "points": [{"type": "S", "colors": [1, 2]}]}
     assert model_from_dict(model) == MulticoloredModel(2, [SPoint({1, 2})], False)
-    for key, value in [("k", "2"), ("k", True), ("k", 2.0), ("adjacency_constrained", 1), ("points", {})]:
-        with pytest.raises(ValueError):
-            model_from_dict({**model, key: value})
-    for point in [{"type": "R", "color": False}, {"type": "S", "colors": [1, 2.0]}, {"type": "S", "colors": {"1": 1}}]:
-        with pytest.raises(ValueError):
-            model_from_dict({**model, "points": [point]})
-    for segment in [{"type": "block", "color": "1"}, {"type": "shuffle", "colors": "12"},
-                    {"type": "shuffle", "colors": [True]}]:
-        with pytest.raises(ValueError):
-            colored_description_from_dict({"segments": [segment]})
-    for segment in [{"type": "block", "kind": {"finite": 1.0}}, {"type": "shuffle", "kinds": "omega"}]:
-        with pytest.raises(ValueError):
-            description_from_dict({"segments": [segment]})
-    with pytest.raises(ValueError):
-        description_from_dict({"segments": "none"})
+    for key, value, message in [("k", "2", "k must be an integer, got '2'"),
+                                ("k", True, "k must be an integer, got True"),
+                                ("k", 2.0, "k must be an integer, got 2.0"),
+                                ("k", -1, "k must be nonnegative, got -1"),
+                                ("adjacency_constrained", 1, "adjacency_constrained must be true or false, got 1"),
+                                ("points", {}, "points must be a list, got {}")]:
+        _refused(model_from_dict, {**model, key: value}, message)
+    for point, message in [({"type": "R", "color": False}, "color must be an integer, got False"),
+                           ({"type": "S", "colors": [1, 2.0]}, "a color in colors must be an integer, got 2.0"),
+                           ({"type": "S", "colors": {"1": 1}}, "colors must be a list, got {'1': 1}"),
+                           ({"type": "S", "colors": [1, 1]}, "colors repeats an entry: [1, 1]")]:
+        _refused(model_from_dict, {**model, "points": [point]}, message)
+    for segment, message in [({"type": "block", "color": "1"}, "color must be an integer, got '1'"),
+                             ({"type": "shuffle", "colors": "12"}, "colors must be a list, got '12'"),
+                             ({"type": "shuffle", "colors": [True]}, "a color in colors must be an integer, got True"),
+                             ({"type": "shuffle", "colors": [2, 2]}, "colors repeats an entry: [2, 2]")]:
+        _refused(colored_description_from_dict, {"segments": [segment]}, message)
+    for segment, message in [({"type": "block", "kind": {"finite": 1.0}}, "finite size must be an integer, got 1.0"),
+                             ({"type": "block", "kind": 3}, "unknown block kind encoding 3"),
+                             ({"type": "shuffle", "kinds": "omega"}, "kinds must be a list, got 'omega'"),
+                             ({"type": "shuffle", "kinds": [{"finite": True}]},
+                              "finite size must be an integer, got True"),
+                             ({"type": "shuffle", "kinds": ["zeta", "zeta"]},
+                              "kinds repeats an entry: ['zeta', 'zeta']")]:
+        _refused(description_from_dict, {"segments": [segment]}, message)
+    _refused(description_from_dict, {"segments": "none"}, "segments must be a list, got 'none'")
